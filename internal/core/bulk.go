@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"smallbandwidth/internal/congest"
@@ -17,13 +18,25 @@ import (
 // aggregation's outcome is a pure function of state the simulator
 // already holds in one address space: every node's two conditional
 // expectations, folded in a fixed tree order. So the hub evaluates the
-// whole seed-bit segment centrally — the last node to register runs
-// the D-bit loop for the component, replicating the distributed
-// execution exactly — while the engine's round/traffic accounting is
-// kept bit-identical by charging the aggregations' exact message and
-// word counts (Ctx.ChargeTraffic) and sleeping through the segment's
-// exact round span (SpinUntil, which the engine fast-forwards in one
-// jump when a whole domain sleeps).
+// whole seed-bit segment centrally — the last node to register
+// coordinates the D-bit loop for the component, replicating the
+// distributed execution exactly — while the engine's round/traffic
+// accounting is kept bit-identical by charging the aggregations' exact
+// message and word counts (Ctx.ChargeTraffic) and sleeping through the
+// segment's exact round span (SpinUntil, which the engine fast-forwards
+// in one jump when a whole domain sleeps).
+//
+// The per-slot work of each bit — evalPhaseBit into acc and the
+// foldSheets of the previous bit's choice — is fanned out across k
+// contiguous slot bands (k = congest.DeliveryShards of the component,
+// so small components stay on the coordinator alone). The cuts are
+// weighted by 1+owned edges and recomputed every phase: an edge is
+// owned by its smaller endpoint, so low ranks carry most of the work
+// and an even split of the slots would leave the first band the
+// bottleneck. Each non-coordinator band evaluates against its own
+// pooled clone of the bit's SplitBasis (the split carries walk
+// scratch). The tree-order fold, the argmin and FixBit stay on the
+// coordinator.
 //
 // Bit-identity with the per-node loop (opts.noBulk) and the reference
 // path (opts.refEval) rests on three invariants, each pinned by the
@@ -32,13 +45,16 @@ import (
 //  1. Per-node evaluation is the same code: the hub calls the same
 //     evalPhaseBit the per-node loop calls, against a basis with the
 //     same fixed-bit history, so every (x0, x1) pair matches bitwise.
+//     Which band evaluates a slot is unobservable: a slot's pair is a
+//     pure function of its own state and the conditioning, and the
+//     marginal memo it shares with other slots holds only pure values.
 //  2. The float fold replicates the converge: ConvergeSumLockstepTo
 //     folds, at each tree node, the node's own vector plus each child's
 //     finished accumulator in child arrival order — ascending subtree
 //     height, then ascending ID. The hub folds slot accumulators in
 //     exactly that order (kids sorted by (height, ID), parents after
-//     children), so the root total — and hence every argmin choice —
-//     is the bit-identical float.
+//     children), on one goroutine, so the root total — and hence every
+//     argmin choice — is the bit-identical float.
 //  3. Rounds, messages, words, and widths are charged as measured:
 //     D aggregations of 2(size−1) messages × 4 words over
 //     D·(2·Height+6) rounds, which is exactly what the distributed
@@ -49,7 +65,10 @@ import (
 // counter picks the last registrant as coordinator (any node — the
 // choice is unobservable), everyone else parks in SpinUntil, and the
 // engine's release-channel chain orders the coordinator's writes
-// before every sleeper's reads. No commit happens inside the segment,
+// before every sleeper's reads. The band workers live only for the
+// segment; each step's wake send orders the coordinator's writes
+// before the band's reads, and the join orders the band's writes
+// before the coordinator's fold. No commit happens inside the segment,
 // so checkpoint cuts — taken only at iteration tops — see the same
 // committed states and the same staged stats as the distributed run.
 type phaseHub struct {
@@ -66,6 +85,28 @@ type phaseHub struct {
 	basis gf2.Basis
 	built bool
 	seed  gf2.Vec128 // the finished phase's seed, read by every slot on wake
+
+	// The step every band runs next (runBand): fold bit stepJ−1 to
+	// prevR, then evaluate bit stepJ under split/prefix. Written by the
+	// coordinator before each wake.
+	stepJ  int
+	split  bool
+	prefix uint64
+	prevR  bool
+
+	// Worker bands; the slices are nil when k == 1 and the coordinator
+	// runs every step alone. Band b owns slots [cuts[b], cuts[b+1]);
+	// band 0 is the coordinator's, bands 1..k−1 run on segment-scoped
+	// goroutines (bodies, built once so starting them allocates
+	// nothing) that wait on wake[b]: true runs one step, false exits.
+	k      int
+	cuts   []int
+	bandSB []*gf2.SplitBasis // this bit's pooled split clone per worker band
+	wake   []chan bool
+	bodies []func()
+	fault  []any // a band's recovered panic, re-raised by the coordinator
+	joined sync.WaitGroup
+	exited sync.WaitGroup
 }
 
 type hubSlot struct {
@@ -74,13 +115,32 @@ type hubSlot struct {
 	kids []int32 // child slot indexes, ascending (SubtreeHeight, ID)
 }
 
-func newPhaseHub(size int, p *Params) *phaseHub {
-	return &phaseHub{
+// newPhaseHub sizes a component's hub. The band count is the delivery
+// shard count the engine would cut the component into under the same
+// worker bound — one band below the per-shard floor — capped at one
+// slot per band.
+func newPhaseHub(size int, p *Params, workers int) *phaseHub {
+	h := &phaseHub{
 		size:  size,
 		p:     p,
 		slots: make([]hubSlot, size),
 		acc:   make([][2]float64, size),
+		k:     min(congest.DeliveryShards(size, workers), size),
 	}
+	if h.k > 1 {
+		h.cuts = make([]int, h.k+1)
+		h.cuts[h.k] = size
+		h.bandSB = make([]*gf2.SplitBasis, h.k)
+		h.wake = make([]chan bool, h.k)
+		h.bodies = make([]func(), h.k)
+		h.fault = make([]any, h.k)
+		for b := 1; b < h.k; b++ {
+			b := b
+			h.wake[b] = make(chan bool, 1)
+			h.bodies[b] = func() { h.bandWorker(b) }
+		}
+	}
+	return h
 }
 
 // build assembles the fold schedule from the registered slots' BFS
@@ -122,24 +182,35 @@ func (h *phaseHub) build() {
 // runSeedBits is the central replica of the distributed seed-bit loop:
 // one Split per bit serves every slot, the tree-ordered fold replaces
 // the aggregation wave, and every slot's sheets and the shared basis
-// advance in lockstep with the chosen bits.
+// advance in lockstep with the chosen bits. Step j folds bit j−1 into
+// the sheets and evaluates bit j in one pass over each band; step D
+// only folds the last bit.
 func (h *phaseHub) runSeedBits() gf2.Vec128 {
 	basis := &h.basis
 	basis.Reset()
-	var seed gf2.Vec128
-	var prefix uint64
-	for j := 0; j < h.p.D; j++ {
-		sb, split := basis.Split(j)
-		for si := range h.slots {
-			ns := h.slots[si].ns
-			var x0, x1 float64
-			if ns.alive {
-				x0, x1 = ns.evalPhaseBit(j, basis, sb, split, prefix)
-			}
-			h.acc[si] = [2]float64{x0, x1}
+	if h.k > 1 {
+		h.cutBands()
+		h.exited.Add(h.k - 1)
+		for b := 1; b < h.k; b++ {
+			go h.bodies[b]()
 		}
-		if split {
+		defer h.stopBands()
+	}
+	var seed gf2.Vec128
+	h.prefix = 0
+	for j := 0; ; j++ {
+		h.stepJ = j
+		var sb *gf2.SplitBasis
+		h.split = false
+		if j < h.p.D {
+			sb, h.split = basis.Split(j)
+		}
+		h.step(sb)
+		if h.split {
 			sb.Release()
+		}
+		if j == h.p.D {
+			return seed
 		}
 		for _, si := range h.order {
 			a := &h.acc[si]
@@ -154,15 +225,110 @@ func (h *phaseHub) runSeedBits() gf2.Vec128 {
 		if !basis.FixBit(j, rj) {
 			panic("core: chosen seed bit inconsistent")
 		}
-		for si := range h.slots {
-			h.slots[si].ns.foldSheets(j, rj)
-		}
+		h.prevR = rj
 		seed = seed.WithBit(j, rj)
 		if rj && j < 64 {
-			prefix |= uint64(1) << j
+			h.prefix |= uint64(1) << j
 		}
 	}
-	return seed
+}
+
+// cutBands cuts the slots into k contiguous bands of about equal work,
+// a slot weighing 1 plus its owned conflict edges: band b ends at the
+// first slot whose running weight reaches b/k of the total. Runs once
+// per phase, since the alive and owned sets change between phases.
+func (h *phaseHub) cutBands() {
+	total := 0
+	for si := range h.slots {
+		total += 1 + len(h.slots[si].ns.ownedIdx)
+	}
+	run, b := 0, 1
+	for si := range h.slots {
+		run += 1 + len(h.slots[si].ns.ownedIdx)
+		for b < h.k && run*h.k >= b*total {
+			h.cuts[b] = si + 1
+			b++
+		}
+	}
+}
+
+// step runs the current step on every band and returns once all are
+// done: the worker bands each get a pooled clone of sb, the coordinator
+// runs band 0 on sb itself.
+//
+//sbw:allocfree phase-hub fork/join: one call per seed bit per phase
+func (h *phaseHub) step(sb *gf2.SplitBasis) {
+	if h.k == 1 {
+		h.runBand(0, h.size, sb)
+		return
+	}
+	h.joined.Add(h.k - 1)
+	for b := 1; b < h.k; b++ {
+		h.bandSB[b] = nil
+		if h.split {
+			h.bandSB[b] = sb.Clone()
+		}
+		h.wake[b] <- true
+	}
+	h.runBand(0, h.cuts[1], sb)
+	h.joined.Wait()
+	for b := 1; b < h.k; b++ {
+		if h.fault[b] != nil {
+			panic(h.fault[b])
+		}
+		if h.bandSB[b] != nil {
+			h.bandSB[b].Release()
+		}
+	}
+}
+
+// runBand runs the current step over slots [lo, hi): fold the previous
+// bit's choice into each slot's sheets, then evaluate this bit into
+// acc. Bands touch disjoint slots, so they share nothing but read-only
+// inputs and the concurrency-safe marginal memo.
+//
+//sbw:allocfree phase-hub band step: one call per band per seed bit
+func (h *phaseHub) runBand(lo, hi int, sb *gf2.SplitBasis) {
+	j := h.stepJ
+	for si := lo; si < hi; si++ {
+		ns := h.slots[si].ns
+		if j > 0 {
+			ns.foldSheets(j-1, h.prevR)
+		}
+		if j < h.p.D {
+			var x0, x1 float64
+			if ns.alive {
+				x0, x1 = ns.evalPhaseBit(j, &h.basis, sb, h.split, h.prefix)
+			}
+			h.acc[si] = [2]float64{x0, x1}
+		}
+	}
+}
+
+// bandWorker is worker band b's segment-scoped goroutine. A panic in a
+// band is handed to the coordinator, which re-raises it on the node
+// goroutine, where the engine reports it as the run's error.
+func (h *phaseHub) bandWorker(b int) {
+	defer h.exited.Done()
+	defer func() {
+		if p := recover(); p != nil {
+			h.fault[b] = p
+			h.joined.Done()
+		}
+	}()
+	for <-h.wake[b] {
+		h.runBand(h.cuts[b], h.cuts[b+1], h.bandSB[b])
+		h.joined.Done()
+	}
+}
+
+// stopBands ends the segment's worker goroutines and waits for them, so
+// none outlives the segment.
+func (h *phaseHub) stopBands() {
+	for b := 1; b < h.k; b++ {
+		h.wake[b] <- false
+	}
+	h.exited.Wait()
 }
 
 // runPhaseBulk is the per-node entry to the hub for one phase: register

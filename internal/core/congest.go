@@ -417,7 +417,7 @@ func runColoringDomains(inst *graph.Instance, opts Options, p *Params, weights [
 	if !opts.noBulk {
 		hubs = make(map[int]*phaseHub, len(comps))
 		for _, comp := range comps {
-			hubs[comp[0]] = newPhaseHub(len(comp), params[comp[0]])
+			hubs[comp[0]] = newPhaseHub(len(comp), params[comp[0]], opts.Workers)
 		}
 	}
 
@@ -1169,6 +1169,7 @@ func (ns *nodeState) nextSheet() *gf2.FormSheet {
 // foldSheets folds the chosen value of seed bit j into every residual
 // sheet — the per-bit incremental update that lets bit j+1 start from
 // current residuals instead of re-reducing each form against the basis.
+//
 //sbw:allocfree phase-step kernel: per-seed-bit sheet fold, once per node per bit
 func (ns *nodeState) foldSheets(j int, rj bool) {
 	for k := 0; k < ns.sheetN; k++ {

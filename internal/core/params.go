@@ -184,6 +184,7 @@ func memoKeyFieldsOK(m, b int) bool {
 // the edge survives iff both endpoints extend their prefix with the same
 // bit, and the surviving list sizes are k1 (bit 1) or k0 (bit 0).
 // Exported for the hot-path microbenchmarks (BenchmarkEdgeExpectation).
+//
 //sbw:allocfree Theorem 1.1 phase-step kernel: per-edge conditional expectation
 func EdgeExpectation(bs *gf2.Basis, cu, cv gf2.Coin, k1u, k0u, k1v, k0v int) float64 {
 	p1u, p11 := gf2.ProbOneAndBothOne(bs, cu, cv)
@@ -196,6 +197,7 @@ func EdgeExpectation(bs *gf2.Basis, cu, cv gf2.Coin, k1u, k0u, k1v, k0v int) flo
 // restructuring of the Lemma 2.6 inner loop): e0 conditions on bit=0,
 // e1 on bit=1. Bit-identical to two EdgeExpectation calls on bases with
 // the bit fixed.
+//
 //sbw:allocfree Theorem 1.1 phase-step kernel: both branches of one seed bit, the TestPhaseStepAllocFree loop body
 func EdgeExpectationSplit(sb *gf2.SplitBasis, cu, cv gf2.Coin, k1u, k0u, k1v, k0v int) (e0, e1 float64) {
 	p1u0, p1v0, p110, p1u1, p1v1, p111 := sb.EdgePair(cu, cv)
@@ -294,6 +296,7 @@ func margStore(stripe int, k0, k1, k2, k3 uint64, p0, p1 float64) {
 // edgeCombine assembles the Lemma 2.2 edge term from the three joint
 // coin probabilities (shared by the one-basis and split evaluations; the
 // expression and operation order are part of the bit-identity contract).
+//
 //sbw:allocfree phase-step kernel: Lemma 2.2 edge term assembly
 func edgeCombine(p1u, p1v, p11 float64, k1u, k0u, k1v, k0v int) float64 {
 	p00 := 1 - p1u - p1v + p11

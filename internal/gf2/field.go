@@ -20,6 +20,7 @@ package gf2
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 )
 
 // Field is the binary field GF(2^m) with a fixed irreducible reduction
@@ -39,29 +40,38 @@ type Field struct {
 	fold [8][256]uint64
 }
 
-var fieldCache = map[int]*Field{}
+// fieldCache holds one lazily built field per degree. The Once makes
+// first use safe under concurrency — concurrent callers of a new degree
+// wait for a single irreducible search instead of racing on it.
+var fieldCache [64]fieldEntry
+
+type fieldEntry struct {
+	once sync.Once
+	f    *Field
+	err  error
+}
 
 // NewField returns GF(2^m) for 1 ≤ m ≤ 63. The reduction polynomial is
 // found by deterministic search (Rabin irreducibility test), so no
-// hard-coded table needs to be trusted; fields are cached per m.
-//
-// NewField is not safe for concurrent first use with the same m; callers
-// construct fields during single-threaded setup.
+// hard-coded table needs to be trusted; fields are cached per m, and
+// the search runs once per m even when goroutines first use the same
+// degree concurrently.
 func NewField(m int) (*Field, error) {
 	if m < 1 || m > 63 {
 		return nil, fmt.Errorf("gf2: field degree %d out of range [1,63]", m)
 	}
-	if f, ok := fieldCache[m]; ok {
-		return f, nil
-	}
-	g, err := findIrreducible(m)
-	if err != nil {
-		return nil, err
-	}
-	f := &Field{m: m, g: g, max: (uint64(1) << m) - 1}
-	f.buildFoldTables()
-	fieldCache[m] = f
-	return f, nil
+	c := &fieldCache[m]
+	c.once.Do(func() {
+		g, err := findIrreducible(m)
+		if err != nil {
+			c.err = err
+			return
+		}
+		f := &Field{m: m, g: g, max: (uint64(1) << m) - 1}
+		f.buildFoldTables()
+		c.f = f
+	})
+	return c.f, c.err
 }
 
 // buildFoldTables fills the byte-wise reduction tables: fold[i][b] =

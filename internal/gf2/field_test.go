@@ -1,6 +1,7 @@
 package gf2
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -30,6 +31,50 @@ func TestFieldCached(t *testing.T) {
 	b := MustField(8)
 	if a != b {
 		t.Error("MustField(8) not cached")
+	}
+}
+
+// resetFieldCache forgets every cached field, so the next NewField of
+// each degree is a first use. Not safe against concurrent NewField
+// calls; only non-parallel tests may call it.
+func resetFieldCache() { fieldCache = [len(fieldCache)]fieldEntry{} }
+
+// TestNewFieldConcurrentFirstUse first-uses every degree from several
+// goroutines at once — the pattern of concurrent colorserve requests
+// that reach a new field degree together. Under -race this pins the
+// cache's synchronization; everywhere it pins that all callers of a
+// degree share one field, whose reduction polynomial is irreducible.
+func TestNewFieldConcurrentFirstUse(t *testing.T) {
+	resetFieldCache()
+	const goroutines = 8
+	var got [goroutines][64]*Field
+	var wg sync.WaitGroup
+	for w := 0; w < goroutines; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 1; i <= 63; i++ {
+				m := 1 + (i+7*w)%63 // every goroutine starts at a different degree
+				f, err := NewField(m)
+				if err != nil {
+					t.Errorf("NewField(%d): %v", m, err)
+					return
+				}
+				got[w][m] = f
+			}
+		}(w)
+	}
+	wg.Wait()
+	for m := 1; m <= 63; m++ {
+		f := got[0][m]
+		for w := 1; w < goroutines; w++ {
+			if got[w][m] != f {
+				t.Fatalf("degree %d: goroutines got different fields", m)
+			}
+		}
+		if f.M() != m || (m > 1 && m <= 20 && !isIrreducible(f.ReductionPoly(), m)) {
+			t.Fatalf("degree %d: bad field (m=%d, poly %#x)", m, f.M(), f.ReductionPoly())
+		}
 	}
 }
 

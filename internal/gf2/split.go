@@ -121,6 +121,7 @@ var splitPool = sync.Pool{New: func() any { return new(SplitBasis) }}
 // the conditional-expectation loop's candidate bit (bits are examined in
 // order and only earlier ones are fixed); ok reports whether that held.
 // Release the result with Release when done.
+//
 //sbw:allocfree Theorem 1.1 phase-step kernel: one Split per seed bit per node per phase
 func (bs *Basis) Split(bit int) (sb *SplitBasis, ok bool) {
 	u := UnitVec(bit)
@@ -158,13 +159,17 @@ func (sb *SplitBasis) cloneInto(dst *SplitBasis) *SplitBasis {
 	return dst
 }
 
-func splitFromPool(sb *SplitBasis) *SplitBasis {
+// Clone returns a pooled copy of the split basis: the same conditioning
+// with its own walk scratch, so several goroutines can evaluate queries
+// against one split concurrently, one copy each. Release it when done.
+func (sb *SplitBasis) Clone() *SplitBasis {
 	return sb.cloneInto(splitPool.Get().(*SplitBasis))
 }
 
 // reduce eliminates the stored constraints from the form (mask, c),
 // returning the shared residual mask and the branch right-hand sides of
 // the event "form = false".
+//
 //sbw:allocfree phase-step kernel: per-form residual reduction, innermost loop
 func (sb *SplitBasis) reduce(mask Vec128, c bool) (Vec128, bool, bool) {
 	rhs0, rhs1 := c, c
@@ -206,6 +211,7 @@ func (sb *SplitBasis) reduce(mask Vec128, c bool) (Vec128, bool, bool) {
 // addReduced inserts the pre-reduced residual of "form = val" and
 // returns each branch's AddResult. Independence is mask-determined and
 // thus shared; a zero residual classifies per branch.
+//
 //sbw:allocfree phase-step kernel: row insertion on the pooled walk basis
 func (sb *SplitBasis) addReduced(mask Vec128, rhs0, rhs1, val bool) (AddResult, AddResult) {
 	rhs0 = rhs0 != val
@@ -234,6 +240,7 @@ func (sb *SplitBasis) addReduced(mask Vec128, rhs0, rhs1, val bool) (AddResult, 
 // callers whose branch already died upstream; a dead branch's
 // accumulator returns 0). The walk keeps adding the shared mask rows
 // after a single branch dies — the survivor still needs them.
+//
 //sbw:allocfree phase-step kernel: dual-branch ProbLess walk on a pooled basis
 func probLessPairInPlace(w *SplitBasis, forms []Form, t uint64, alive0, alive1 bool) (p0, p1 float64) {
 	b := len(forms)
@@ -302,6 +309,7 @@ type residPair struct {
 // residual reduces a form against the conditioned basis only (fixed
 // bits and source rows) — the part shared by every walk of one edge
 // evaluation.
+//
 //sbw:allocfree phase-step kernel: shared residual of one edge evaluation
 func (sb *SplitBasis) residual(fo Form) residPair {
 	mask, rhs0, rhs1 := sb.reduce(fo.Mask, fo.Const)
@@ -317,6 +325,7 @@ func (sb *SplitBasis) residual(fo Form) residPair {
 // only the constraints that are actually new — the residuals already
 // absorbed the outer context. Classifications, terms, and order are
 // exactly those of probLessPairInPlace on an equivalent SplitBasis.
+//
 //sbw:allocfree phase-step kernel: stack-array walk, the hottest loop of the derandomization
 func innerPairWalk(rows *[64]splitRow, res []residPair, t uint64, atom *splitRow, alive0, alive1 bool) (p0, p1 float64) {
 	b := len(res)
@@ -397,6 +406,7 @@ func innerPairWalk(rows *[64]splitRow, res []residPair, t uint64, atom *splitRow
 // prefix rows), and all walk rows live on the stack. Every output is
 // bit-identical to the corresponding single-query evaluations
 // (ProbOnePair, and ProbBothLessMarginal on a conditioned Basis).
+//
 //sbw:allocfree phase-step kernel: six edge probabilities per owned edge per seed bit
 func (sb *SplitBasis) EdgePair(c1, c2 Coin) (p1u0, p1v0, p110, p1u1, p1v1, p111 float64) {
 	fu, tu, fv, tv := c1.forms, c1.t, c2.forms, c2.t
@@ -706,6 +716,7 @@ func (sb *SplitBasis) loJointWalk(fu []Form, tu uint64, res []loResid, tv uint64
 }
 
 // loJointWalkResid is loJointWalk over precomputed C1 residuals.
+//
 //sbw:allocfree phase-step kernel: the joint walk shared by the scalar and block paths
 func (sb *SplitBasis) loJointWalkResid(resU []loResid, tu uint64, res []loResid, tv uint64, fvWalkable bool) (p1u0, p110, p1u1, p111 float64) {
 	bu, bv := len(resU), len(res)
@@ -778,13 +789,14 @@ func (sb *SplitBasis) loJointWalkResid(resU []loResid, tu uint64, res []loResid,
 
 // probLessPairClone runs the dual-branch ProbLess on a pooled clone.
 func (sb *SplitBasis) probLessPairClone(forms []Form, t uint64) (float64, float64) {
-	w := splitFromPool(sb)
+	w := sb.Clone()
 	p0, p1 := probLessPairInPlace(w, forms, t, true, true)
 	w.Release()
 	return p0, p1
 }
 
 // ProbOnePair returns Pr[C = 1] under branch 0 and branch 1.
+//
 //sbw:allocfree phase-step kernel: neighbor-marginal walk, memo-miss path
 func (sb *SplitBasis) ProbOnePair(c Coin) (p0, p1 float64) {
 	if c.t == 0 {
@@ -801,7 +813,7 @@ func (sb *SplitBasis) ProbOnePair(c Coin) (p0, p1 float64) {
 		}
 		return loInnerWalk(&sb.innerLo, res, c.t, 0, 0, false, 3)
 	}
-	w := splitFromPool(sb)
+	w := sb.Clone()
 	p0, p1 = probLessPairInPlace(w, c.forms, c.t, true, true)
 	w.Release()
 	return p0, p1
@@ -812,6 +824,7 @@ func (sb *SplitBasis) ProbOnePair(c Coin) (p0, p1 float64) {
 // the conditioning): it returns only the C1 marginal and the joint
 // probabilities, skipping C2's marginal walk. pv0/pv1 must equal
 // ProbOnePair(c2) under this basis — the tu ≥ 2^b boundary reuses them.
+//
 //sbw:allocfree phase-step kernel: memo-hit variant of EdgePair
 func (sb *SplitBasis) EdgePairGivenMarginal(c1, c2 Coin, pv0, pv1 float64) (p1u0, p110, p1u1, p111 float64) {
 	if !sb.hiRows && c1.lo && c2.lo {

@@ -34,6 +34,7 @@
 // never a panic or a structurally broken graph. LoadTrusted skips the
 // per-arc checks (graph.FromCSRUnchecked) for files the caller itself
 // produced, e.g. a benchmark re-reading a store it just wrote.
+//
 //sbw:stickydecoder store decode path for hostile store files (FuzzStoreDecode); Load must reject, never panic
 package store
 
