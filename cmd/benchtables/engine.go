@@ -171,16 +171,30 @@ func engineBench(quick bool) []EngineWorkload {
 	return out
 }
 
+// colorConf is one random d-regular n-node coloring workload.
+type colorConf struct{ n, d int }
+
+// name is the workload's record name, "group/regular<d>-<n>": both the
+// degree and the size, so configurations that share a degree do not
+// record under one name.
+func (c colorConf) name(group string) string {
+	return workloadName(group, fmt.Sprintf("regular%d", c.d), c.n)
+}
+
+// cliqueConfs returns the flood sizes and color configurations of
+// cliqueBench.
+func cliqueConfs(quick bool) (floodSizes []int, colorConfs []colorConf) {
+	if quick {
+		return []int{256, 512}, []colorConf{{32, 6}}
+	}
+	return []int{512, 1536}, []colorConf{{48, 8}, {64, 8}}
+}
+
 // cliqueBench measures the CONGESTED CLIQUE simulator: the all-to-all
 // flood isolates Exchange delivery, the color runs are Theorem 1.3 end
 // to end.
 func cliqueBench(quick bool) []EngineWorkload {
-	floodSizes := []int{512, 1536}
-	colorConfs := []struct{ n, d int }{{48, 8}, {64, 8}}
-	if quick {
-		floodSizes = []int{256, 512}
-		colorConfs = []struct{ n, d int }{{32, 6}}
-	}
+	floodSizes, colorConfs := cliqueConfs(quick)
 	var out []EngineWorkload
 	for _, n := range floodSizes {
 		out = append(out, measure(fmt.Sprintf("clique-flood/%d", n), n, n*(n-1)/2, func() (int, int64, int64) {
@@ -193,7 +207,7 @@ func cliqueBench(quick bool) []EngineWorkload {
 		}))
 	}
 	for _, c := range colorConfs {
-		out = append(out, measure(workloadName("clique-color", "regular", c.d), c.n, c.n*c.d/2, func() (int, int64, int64) {
+		out = append(out, measure(c.name("clique-color"), c.n, c.n*c.d/2, func() (int, int64, int64) {
 			res, err := enginebench.CliqueColor(c.n, c.d)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "clique color run failed: %v\n", err)
@@ -337,16 +351,19 @@ func scaleBench(quick bool) []EngineWorkload {
 	return out
 }
 
+// mpcConfs returns the sort sizes and color configurations of mpcBench.
+func mpcConfs(quick bool) (sortSizes []int, colorConfs []colorConf) {
+	if quick {
+		return []int{100000, 400000}, []colorConf{{48, 4}}
+	}
+	return []int{1000000, 4000000}, []colorConf{{96, 4}, {128, 4}}
+}
+
 // mpcBench measures the MPC simulator: the sort workloads isolate the
 // Lemma 5.1 record-moving tools, the color runs are Theorem 1.4 end to
 // end.
 func mpcBench(quick bool) []EngineWorkload {
-	sortSizes := []int{1000000, 4000000}
-	colorConfs := []struct{ n, d int }{{96, 4}, {128, 4}}
-	if quick {
-		sortSizes = []int{100000, 400000}
-		colorConfs = []struct{ n, d int }{{48, 4}}
-	}
+	sortSizes, colorConfs := mpcConfs(quick)
 	var out []EngineWorkload
 	for _, n := range sortSizes {
 		out = append(out, measure(fmt.Sprintf("mpc-sort/%d", n), n, enginebench.MPCSortMachines, func() (int, int64, int64) {
@@ -359,7 +376,7 @@ func mpcBench(quick bool) []EngineWorkload {
 		}))
 	}
 	for _, c := range colorConfs {
-		out = append(out, measure(workloadName("mpc-color", "regular", c.d), c.n, c.n*c.d/2, func() (int, int64, int64) {
+		out = append(out, measure(c.name("mpc-color"), c.n, c.n*c.d/2, func() (int, int64, int64) {
 			res, err := enginebench.MPCColor(c.n, c.d)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "mpc color run failed: %v\n", err)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -37,6 +38,43 @@ func TestParseWorkloadName(t *testing.T) {
 	}
 	if got := workloadName("scale-color", "grid", 100000); got != "scale-color/grid-100000" {
 		t.Errorf("workloadName = %q", got)
+	}
+}
+
+// TestCliqueMPCWorkloadNamesUnique checks, without running anything,
+// that every workload of the -clique and -mpc sweeps records under its
+// own name in both the full and the quick configuration: two
+// configurations sharing a name would overwrite each other's numbers in
+// a BENCH record.
+func TestCliqueMPCWorkloadNamesUnique(t *testing.T) {
+	for _, quick := range []bool{false, true} {
+		flood, clq := cliqueConfs(quick)
+		sorts, mpcs := mpcConfs(quick)
+		modes := map[string][]string{}
+		for _, n := range flood {
+			modes["clique"] = append(modes["clique"], fmt.Sprintf("clique-flood/%d", n))
+		}
+		for _, c := range clq {
+			modes["clique"] = append(modes["clique"], c.name("clique-color"))
+		}
+		for _, n := range sorts {
+			modes["mpc"] = append(modes["mpc"], fmt.Sprintf("mpc-sort/%d", n))
+		}
+		for _, c := range mpcs {
+			modes["mpc"] = append(modes["mpc"], c.name("mpc-color"))
+		}
+		for _, mode := range []string{"clique", "mpc"} {
+			seen := map[string]bool{}
+			for _, name := range modes[mode] {
+				if seen[name] {
+					t.Errorf("quick=%v: %s sweep records %q twice", quick, mode, name)
+				}
+				seen[name] = true
+			}
+		}
+	}
+	if got := (colorConf{n: 96, d: 4}).name("mpc-color"); got != "mpc-color/regular4-96" {
+		t.Errorf("colorConf name = %q", got)
 	}
 }
 

@@ -56,6 +56,7 @@ type clqNode struct {
 	aliveNbr []int32 // still-uncolored G-neighbors, sorted
 	conflict []int32 // conflict neighbors of the current iteration, sorted
 	nbrK     map[int][]uint64
+	coins    []batchCoin // this batch's sequential coins (coinTable)
 	phi      int
 }
 
@@ -299,6 +300,11 @@ func (nd *clqNode) keepColor() {
 // runBatch fixes the w prefix bits at positions
 // [logC−fixed−w, logC−fixed) for every alive node, derandomizing the
 // shared seed segment by segment with 2^λ responsible nodes per segment.
+//
+// Everything that does not depend on the candidate assignment is built
+// outside the 2^λ assignment loop: each node's coin table once per batch
+// (exchangeCounts), the 2^segW assignment bases once per segment, and
+// one events buffer for every ProbConj query of the batch.
 func (st *cliqueRun) runBatch(w, fixed int) error {
 	m := max(st.a, w*st.b)
 	if m > 63 {
@@ -310,55 +316,28 @@ func (st *cliqueRun) runBatch(w, fixed int) error {
 	}
 	d := fam.SeedBits()
 	hi := st.logC - fixed - 1 // most significant bit of this batch
-	paths := 1 << w
-
-	// Leaf counts K(p) and their exchange with conflict neighbors.
-	for _, nd := range st.nodes {
-		nd.nbrK = map[int][]uint64{}
-		if !nd.alive {
-			continue
-		}
-		nd.nbrK[nd.id] = leafCounts(nd.cands, hi, w)
-	}
-	chunk := st.sim.maxWords - 1
-	for off := 0; off < paths; off += chunk {
-		end := min(off+chunk, paths)
-		out := NewOut(st.n)
-		for v, nd := range st.nodes {
-			if !nd.alive || len(nd.conflict) == 0 {
-				continue
-			}
-			msg := make(Message, 0, 1+end-off)
-			msg = append(msg, uint64(off))
-			msg = append(msg, nd.nbrK[nd.id][off:end]...)
-			for _, u := range nd.conflict {
-				out[v] = append(out[v], Directed{To: u, Payload: msg})
-			}
-		}
-		in, err := st.sim.Exchange(out)
-		if err != nil {
-			return err
-		}
-		for v, nd := range st.nodes {
-			for _, rm := range in[v] {
-				if !graph.SortedHas(nd.conflict, rm.From) {
-					continue
-				}
-				if nd.nbrK[rm.From] == nil {
-					nd.nbrK[rm.From] = make([]uint64, paths)
-				}
-				copy(nd.nbrK[rm.From][rm.Payload[0]:], rm.Payload[1:])
-			}
-		}
+	if err := st.exchangeCounts(fam, hi, w); err != nil {
+		return err
 	}
 
 	// Derandomize the seed segment by segment.
 	lambda := max(1, min(min(bits.Len(uint(st.n))-1, d), st.opts.LambdaCap))
 	basis := gf2.NewBasis()
+	bases := make([]*gf2.Basis, 1<<lambda)
+	for r := range bases {
+		bases[r] = gf2.NewBasis()
+	}
+	events := make([]gf2.CoinEvent, 0, 2*w)
 	var seed gf2.Vec128
 	for segStart := 0; segStart < d; segStart += lambda {
 		segW := min(lambda, d-segStart)
 		nAssign := 1 << segW
+		for r := 0; r < nAssign; r++ {
+			basis.CloneInto(bases[r])
+			for t := 0; t < segW; t++ {
+				bases[r].FixBit(segStart+t, r>>uint(t)&1 == 1)
+			}
+		}
 
 		// Every node evaluates its owned conflict edges for every
 		// candidate assignment and sends each value to its responsible
@@ -370,16 +349,15 @@ func (st *cliqueRun) runBatch(w, fixed int) error {
 			vals := make([]float64, nAssign)
 			if nd.alive {
 				for r := 0; r < nAssign; r++ {
-					bs := basis.Clone()
-					for t := 0; t < segW; t++ {
-						bs.FixBit(segStart+t, r>>uint(t)&1 == 1)
-					}
 					for _, u32 := range nd.conflict {
 						u := int(u32)
 						if u < v {
 							continue // owner is the smaller endpoint
 						}
-						vals[r] += st.edgeExp(bs, fam, nd, u, w)
+						var e float64
+						e, events = edgeExpCoins(bases[r], nd.nbrK[nd.id], nd.nbrK[u],
+							nd.coins, st.nodes[u].coins, w, events)
+						vals[r] += e
 					}
 				}
 			}
@@ -444,17 +422,13 @@ func (st *cliqueRun) runBatch(w, fixed int) error {
 			continue
 		}
 		path := uint64(0)
-		counts := nd.nbrK[nd.id]
 		for t := 0; t < w; t++ {
-			den := subtreeCount(counts, w, int(path), t)
-			num := subtreeCount(counts, w, int(path<<1|1), t+1)
-			coin, err := gf2.NewCoinFromForms(
-				fam.WindowForms(uint64(nd.id), m-(t+1)*st.b, st.b), num, den)
-			if err != nil {
-				return fmt.Errorf("clique: node %d sequential coin: %w", v, err)
+			bc := nd.coins[1<<t-1+int(path)]
+			if bc.den == 0 {
+				return fmt.Errorf("clique: node %d sequential coin: prefix %b has no candidates", v, path)
 			}
 			path <<= 1
-			if coin.Value(seed) {
+			if bc.coin.Value(seed) {
 				path |= 1
 			}
 		}
@@ -486,18 +460,112 @@ func (st *cliqueRun) runBatch(w, fixed int) error {
 	return nil
 }
 
-// edgeExp computes E[X_e | basis] for the conflict edge (nd.id, u) over
-// the w-bit batch: survival requires both endpoints to pick the same
-// path, and each path contributes the reciprocal surviving list sizes.
-func (st *cliqueRun) edgeExp(bs *gf2.Basis, fam *gf2.Family, nd *clqNode, u, w int) float64 {
+// exchangeCounts computes every alive node's leaf counts K(p) for the
+// w-bit batch whose most significant bit is hi, builds the node's coin
+// table from them, and sends the counts to its conflict neighbors,
+// which store them in nbrK.
+func (st *cliqueRun) exchangeCounts(fam *gf2.Family, hi, w int) error {
+	paths := 1 << w
+	for _, nd := range st.nodes {
+		nd.nbrK = map[int][]uint64{}
+		nd.coins = nil
+		if !nd.alive {
+			continue
+		}
+		counts := leafCounts(nd.cands, hi, w)
+		nd.nbrK[nd.id] = counts
+		var err error
+		if nd.coins, err = coinTable(fam, nd.id, st.b, w, counts); err != nil {
+			return err
+		}
+	}
+	chunk := st.sim.maxWords - 1
+	for off := 0; off < paths; off += chunk {
+		end := min(off+chunk, paths)
+		out := NewOut(st.n)
+		for v, nd := range st.nodes {
+			if !nd.alive || len(nd.conflict) == 0 {
+				continue
+			}
+			msg := make(Message, 0, 1+end-off)
+			msg = append(msg, uint64(off))
+			msg = append(msg, nd.nbrK[nd.id][off:end]...)
+			for _, u := range nd.conflict {
+				out[v] = append(out[v], Directed{To: u, Payload: msg})
+			}
+		}
+		in, err := st.sim.Exchange(out)
+		if err != nil {
+			return err
+		}
+		for v, nd := range st.nodes {
+			for _, rm := range in[v] {
+				if !graph.SortedHas(nd.conflict, rm.From) {
+					continue
+				}
+				if nd.nbrK[rm.From] == nil {
+					nd.nbrK[rm.From] = make([]uint64, paths)
+				}
+				copy(nd.nbrK[rm.From][rm.Payload[0]:], rm.Payload[1:])
+			}
+		}
+	}
+	return nil
+}
+
+// batchCoin is one sequential coin of a node's w-bit batch: the coin
+// that extends a t-bit prefix q, showing 1 with probability
+// S(q1)/S(q). den = S(q); den == 0 marks a prefix no candidate extends,
+// which has no coin.
+type batchCoin struct {
+	coin gf2.Coin
+	den  uint64
+}
+
+// coinTable returns node id's 2^w − 1 sequential coins for the batch
+// with leaf counts counts. Entry 2^t − 1 + q is the coin that extends
+// the t-bit prefix q; its forms are the hash output window
+// [m−(t+1)·b, m−t·b) of the node's input color. The coins depend only on
+// the node and the batch, so the 2^λ-assignment loop reads them from
+// this table.
+func coinTable(fam *gf2.Family, id, b, w int, counts []uint64) ([]batchCoin, error) {
 	m := fam.Field().M()
-	ku := nd.nbrK[nd.id]
-	kv := nd.nbrK[u]
+	tab := make([]batchCoin, 1<<w-1)
+	for t := 0; t < w; t++ {
+		var forms []gf2.Form
+		for q := 0; q < 1<<t; q++ {
+			den := subtreeCount(counts, w, q, t)
+			if den == 0 {
+				continue
+			}
+			if forms == nil {
+				forms = fam.WindowForms(uint64(id), m-(t+1)*b, b)
+			}
+			num := subtreeCount(counts, w, q<<1|1, t+1)
+			coin, err := gf2.NewCoinFromForms(forms, num, den)
+			if err != nil {
+				return nil, fmt.Errorf("clique: node %d coin for prefix %b: %w", id, q, err)
+			}
+			tab[1<<t-1+q] = batchCoin{coin: coin, den: den}
+		}
+	}
+	return tab, nil
+}
+
+// edgeExpCoins computes E[X_e | bs] for a conflict edge over the w-bit
+// batch from the endpoints' leaf counts ku, kv and coin tables cu, cv:
+// survival requires both endpoints to pick the same path, and each path
+// contributes the reciprocal surviving list sizes. kv == nil (the
+// neighbor's counts never arrived) contributes 0. events is the ProbConj
+// scratch buffer; the possibly grown buffer is returned for reuse. The
+// paths, the coin events and the sum run in the order of the per-edge
+// reference (edgeExp in oracle_test.go), so the result is bit-identical
+// to it.
+func edgeExpCoins(bs *gf2.Basis, ku, kv []uint64, cu, cv []batchCoin, w int, events []gf2.CoinEvent) (float64, []gf2.CoinEvent) {
 	if kv == nil {
-		return 0
+		return 0, events
 	}
 	total := 0.0
-	events := make([]gf2.CoinEvent, 0, 2*w)
 	for p := 0; p < 1<<w; p++ {
 		if ku[p] == 0 || kv[p] == 0 {
 			continue
@@ -505,25 +573,14 @@ func (st *cliqueRun) edgeExp(bs *gf2.Basis, fam *gf2.Family, nd *clqNode, u, w i
 		events = events[:0]
 		ok := true
 		for t := 0; t < w && ok; t++ {
-			prefix := p >> uint(w-t) // first t bits of p
+			i := 1<<t - 1 + p>>uint(w-t) // entry of p's first t bits
 			want := p>>uint(w-1-t)&1 == 1
-			for side, id := range [2]int{nd.id, u} {
-				counts := ku
-				if side == 1 {
-					counts = kv
-				}
-				den := subtreeCount(counts, w, prefix, t)
-				num := subtreeCount(counts, w, prefix<<1|1, t+1)
-				if den == 0 {
+			for _, tab := range [2][]batchCoin{cu, cv} {
+				if tab[i].den == 0 {
 					ok = false
 					break
 				}
-				coin, err := gf2.NewCoinFromForms(
-					fam.WindowForms(uint64(id), m-(t+1)*st.b, st.b), num, den)
-				if err != nil {
-					panic(err)
-				}
-				events = append(events, gf2.CoinEvent{Coin: coin, Want: want})
+				events = append(events, gf2.CoinEvent{Coin: tab[i].coin, Want: want})
 			}
 		}
 		if !ok {
@@ -533,7 +590,7 @@ func (st *cliqueRun) edgeExp(bs *gf2.Basis, fam *gf2.Family, nd *clqNode, u, w i
 			total += pr * (1/float64(ku[p]) + 1/float64(kv[p]))
 		}
 	}
-	return total
+	return total, events
 }
 
 // localFinish routes the uncolored subgraph and lists to the leader,

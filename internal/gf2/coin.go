@@ -96,14 +96,25 @@ type CoinEvent struct {
 // prefix-disjoint affine events and recurses; Want = false uses
 // Pr[rest ∧ C=0] = Pr[rest] − Pr[rest ∧ C=1]. Generalizes ProbBothOne to
 // the multi-coin survival events of the clique/MPC multi-bit phases.
+//
+// ProbConj allocates nothing at steady state: its scratch bases come
+// from the basis pool, and the Pr[rest ∧ C=1] term of a negated event
+// flips events[0].Want in place, restoring it before the call returns.
+// events is therefore scratch for the duration of the call: the caller
+// sees it unchanged afterwards, but one slice must not be passed to
+// concurrent ProbConj calls.
+//
+//sbw:allocfree clique/MPC multi-bit survival queries: one call per (node, assignment, owned edge, path)
 func ProbConj(bs *Basis, events []CoinEvent) float64 {
 	if len(events) == 0 {
 		return 1
 	}
-	ev, rest := events[0], events[1:]
+	ev, rest := &events[0], events[1:]
 	if !ev.Want {
-		flipped := append([]CoinEvent{{Coin: ev.Coin, Want: true}}, rest...)
-		p := ProbConj(bs, rest) - ProbConj(bs, flipped)
+		pRest := ProbConj(bs, rest)
+		ev.Want = true
+		p := pRest - ProbConj(bs, events)
+		ev.Want = false
 		if p < 0 {
 			return 0
 		}
@@ -116,14 +127,15 @@ func ProbConj(bs *Basis, events []CoinEvent) float64 {
 	if c.t >= uint64(1)<<c.b {
 		return ProbConj(bs, rest)
 	}
-	w := bs.Clone()
+	w := cloneFromPool(bs)
+	w2 := basisPool.Get().(*Basis)
 	prob := 0.0
 	condProb := 1.0
 	for idx, fo := range c.forms {
 		bitPos := c.b - 1 - idx
 		tj := c.t&(1<<bitPos) != 0
 		if tj {
-			w2 := w.Clone()
+			w.CloneInto(w2)
 			switch w2.Add(fo, false) {
 			case Independent:
 				prob += condProb * 0.5 * ProbConj(w2, rest)
@@ -137,8 +149,12 @@ func ProbConj(bs *Basis, events []CoinEvent) float64 {
 			condProb *= 0.5
 		case Redundant:
 		case Inconsistent:
+			releaseBasis(w2)
+			releaseBasis(w)
 			return prob
 		}
 	}
+	releaseBasis(w2)
+	releaseBasis(w)
 	return prob
 }

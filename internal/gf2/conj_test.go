@@ -81,7 +81,14 @@ func TestProbConjVsBruteForce(t *testing.T) {
 				bs.FixBit(i, v)
 			}
 		}
+		before := append([]CoinEvent(nil), events...)
 		got := ProbConj(bs, events)
+		for i := range events {
+			if events[i].Want != before[i].Want || events[i].Coin.t != before[i].Coin.t ||
+				&events[i].Coin.forms[0] != &before[i].Coin.forms[0] {
+				t.Fatalf("trial %d: ProbConj left event %d changed", trial, i)
+			}
+		}
 
 		match, total := 0, 0
 		for s := uint64(0); s < 1<<d; s++ {
@@ -104,6 +111,39 @@ func TestProbConjVsBruteForce(t *testing.T) {
 		if math.Abs(got-want) > 1e-12 {
 			t.Fatalf("trial %d (%d events): engine %v, brute %v", trial, nev, got, want)
 		}
+	}
+}
+
+// TestProbConjAllocFree is the allocs/op guard on ProbConj: scratch
+// bases come from the basis pool and negated events are flipped in
+// place, so a warm query — here a mixed-orientation four-coin one, as
+// the two-bit clique batches issue — allocates nothing.
+func TestProbConjAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops cached objects under -race; allocation counts are meaningless")
+	}
+	fam := MustFamily(6, 2)
+	events := make([]CoinEvent, 4)
+	for i := range events {
+		coin, err := NewCoinFromForms(fam.WindowForms(uint64(3+5*i), 3*(i%2), 3), uint64(1+i), 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		events[i] = CoinEvent{Coin: coin, Want: i%3 != 0}
+	}
+	bs := NewBasis()
+	bs.FixBit(1, true)
+	bs.FixBit(4, false)
+	want := ProbConj(bs, events) // warm the pool
+	if want <= 0 {
+		t.Fatalf("query has probability %v; pick coins with a nonzero conjunction", want)
+	}
+	if n := testing.AllocsPerRun(50, func() {
+		if got := ProbConj(bs, events); got != want {
+			t.Fatalf("repeated query returned %v, want %v", got, want)
+		}
+	}); n != 0 {
+		t.Fatalf("ProbConj allocates %v objects per call at steady state, want 0", n)
 	}
 }
 

@@ -171,6 +171,11 @@ func ListColorMPC(inst *graph.Instance, opts Options) (*Result, error) {
 
 	res := &Result{Machines: rt.M, S: rt.S}
 	depth := rt.AggDepth()
+	// Per-bit coins and per-assignment marginals, reused across bits; the
+	// assignment basis is rebuilt into one scratch basis.
+	coins := make([]gf2.Coin, n)
+	p1 := make([]float64, n)
+	bs := gf2.NewBasis()
 
 	conflictEdgeIO := func() []int {
 		io := make([]int, rt.M)
@@ -260,9 +265,14 @@ func ListColorMPC(inst *graph.Instance, opts Options) (*Result, error) {
 					return nil, err
 				}
 			}
-			for _, nd := range nodes {
+			// Each alive node's coin depends only on the node and this
+			// bit, so it is built once here, not per (assignment, edge).
+			for v, nd := range nodes {
 				if nd.alive {
 					nd.k1 = countBit(nd.cands, bitPos)
+					if coins[v], err = gf2.NewCoin(fam, uint64(v), b, nd.k1, uint64(len(nd.cands))); err != nil {
+						return nil, fmt.Errorf("mpc: node %d coin: %w", v, err)
+					}
 				}
 			}
 			if err := rt.ChargeRound(conflictEdgeIO()); err != nil {
@@ -277,9 +287,14 @@ func ListColorMPC(inst *graph.Instance, opts Options) (*Result, error) {
 				nAssign := 1 << segW
 				best, bestVal := 0, 0.0
 				for r := 0; r < nAssign; r++ {
-					bs := basis.Clone()
+					basis.CloneInto(bs)
 					for t := 0; t < segW; t++ {
 						bs.FixBit(segStart+t, r>>uint(t)&1 == 1)
+					}
+					for v, nd := range nodes {
+						if nd.alive && len(nd.conflict) > 0 {
+							p1[v] = coins[v].ProbOne(bs)
+						}
 					}
 					total := 0.0
 					for v, nd := range nodes {
@@ -291,9 +306,8 @@ func ListColorMPC(inst *graph.Instance, opts Options) (*Result, error) {
 							if w < v {
 								continue
 							}
-							total += edgeExp1(bs, fam, b,
-								uint64(v), nd.k1, uint64(len(nd.cands)),
-								uint64(w), nodes[w].k1, uint64(len(nodes[w].cands)))
+							total += edgeExp(p1[v], p1[w], gf2.ProbBothOne(bs, coins[v], coins[w]),
+								nd.k1, uint64(len(nd.cands)), nodes[w].k1, uint64(len(nodes[w].cands)))
 						}
 					}
 					if r == 0 || total < bestVal {
@@ -321,11 +335,7 @@ func ListColorMPC(inst *graph.Instance, opts Options) (*Result, error) {
 				if !nd.alive {
 					continue
 				}
-				coin, err := gf2.NewCoin(fam, uint64(v), b, nd.k1, uint64(len(nd.cands)))
-				if err != nil {
-					return nil, err
-				}
-				bitsChosen[v] = coin.Value(seed)
+				bitsChosen[v] = coins[v].Value(seed)
 				nd.cands = filterBit(nd.cands, bitPos, bitsChosen[v])
 				if len(nd.cands) == 0 {
 					return nil, fmt.Errorf("mpc: node %d candidate set emptied", v)
@@ -478,19 +488,14 @@ func greedyResidual(g *graph.Graph, nodes []*mpcNode) error {
 	return nil
 }
 
-// edgeExp1 is the single-bit conditional edge expectation of Lemma 2.2.
-func edgeExp1(bs *gf2.Basis, fam *gf2.Family, b int, xu, k1u, lu, xv, k1v, lv uint64) float64 {
-	cu, err := gf2.NewCoin(fam, xu, b, k1u, lu)
-	if err != nil {
-		panic(err)
-	}
-	cv, err := gf2.NewCoin(fam, xv, b, k1v, lv)
-	if err != nil {
-		panic(err)
-	}
-	p1u := cu.ProbOne(bs)
-	p1v := cv.ProbOne(bs)
-	p11 := gf2.ProbBothOne(bs, cu, cv)
+// edgeExp is the single-bit conditional edge expectation of Lemma 2.2
+// from the endpoints' marginals p1u = Pr[Cu = 1], p1v = Pr[Cv = 1], the
+// joint p11 = Pr[Cu = 1 ∧ Cv = 1] (all under the same basis event) and
+// the coins' counts: k1 candidates with the bit set out of l. The terms
+// and their order are those of the per-edge reference (edgeExp1 in
+// oracle_test.go), which builds both coins and marginals itself, so the
+// result is bit-identical to it.
+func edgeExp(p1u, p1v, p11 float64, k1u, lu, k1v, lv uint64) float64 {
 	p00 := 1 - p1u - p1v + p11
 	var e float64
 	if p11 > 0 {
