@@ -57,6 +57,7 @@ type clqNode struct {
 	conflict []int32 // conflict neighbors of the current iteration, sorted
 	nbrK     map[int][]uint64
 	coins    []batchCoin // this batch's sequential coins (coinTable)
+	own      float64     // this segment's value for the assignment the node is responsible for
 	phi      int
 }
 
@@ -302,9 +303,10 @@ func (nd *clqNode) keepColor() {
 // shared seed segment by segment with 2^λ responsible nodes per segment.
 //
 // Everything that does not depend on the candidate assignment is built
-// outside the 2^λ assignment loop: each node's coin table once per batch
-// (exchangeCounts), the 2^segW assignment bases once per segment, and
-// one events buffer for every ProbConj query of the batch.
+// outside the assignment loop: each node's coin table once per batch
+// (exchangeCounts), one lane basis per segment, and one events buffer
+// for every ProbConj query of the batch. A node scores up to 64
+// assignments of a segment in one lane walk per owned edge and path.
 func (st *cliqueRun) runBatch(w, fixed int) error {
 	m := max(st.a, w*st.b)
 	if m > 63 {
@@ -323,72 +325,72 @@ func (st *cliqueRun) runBatch(w, fixed int) error {
 	// Derandomize the seed segment by segment.
 	lambda := max(1, min(min(bits.Len(uint(st.n))-1, d), st.opts.LambdaCap))
 	basis := gf2.NewBasis()
-	bases := make([]*gf2.Basis, 1<<lambda)
-	for r := range bases {
-		bases[r] = gf2.NewBasis()
-	}
+	var lb gf2.LaneBasis
+	var vals, edge, pr [64]float64
 	events := make([]gf2.CoinEvent, 0, 2*w)
 	var seed gf2.Vec128
 	for segStart := 0; segStart < d; segStart += lambda {
 		segW := min(lambda, d-segStart)
 		nAssign := 1 << segW
-		for r := 0; r < nAssign; r++ {
-			basis.CloneInto(bases[r])
-			for t := 0; t < segW; t++ {
-				bases[r].FixBit(segStart+t, r>>uint(t)&1 == 1)
-			}
+		if err := lb.Reset(basis, segStart, segW); err != nil {
+			return fmt.Errorf("clique: %w", err)
 		}
 
 		// Every node evaluates its owned conflict edges for every
 		// candidate assignment and sends each value to its responsible
-		// node (1 round).
+		// node (1 round); the value for its own assignment it keeps.
 		out := NewOut(st.n)
-		own := make([]float64, nAssign)
-		sums := make([][]float64, st.n)
 		for v, nd := range st.nodes {
-			vals := make([]float64, nAssign)
-			if nd.alive {
-				for r := 0; r < nAssign; r++ {
+			for c := 0; c < lb.Chunks(); c++ {
+				lb.SetChunk(c)
+				vals = [64]float64{}
+				if nd.alive {
 					for _, u32 := range nd.conflict {
 						u := int(u32)
 						if u < v {
 							continue // owner is the smaller endpoint
 						}
-						var e float64
-						e, events = edgeExpCoins(bases[r], nd.nbrK[nd.id], nd.nbrK[u],
+						events = edgeExpCoins(&lb, &edge, &pr, nd.nbrK[nd.id], nd.nbrK[u],
 							nd.coins, st.nodes[u].coins, w, events)
-						vals[r] += e
+						for k := 0; k < lb.Lanes(); k++ {
+							vals[k] += edge[k]
+						}
 					}
 				}
-			}
-			for r := 0; r < nAssign; r++ {
-				if r == v {
-					own[r] += vals[r]
-					continue
+				for k := 0; k < lb.Lanes(); k++ {
+					r := c<<6 | k
+					if r == v {
+						nd.own = vals[k]
+						continue
+					}
+					out[v] = append(out[v], Directed{To: int32(r), Payload: Message{uint64(r), math.Float64bits(vals[k])}})
 				}
-				out[v] = append(out[v], Directed{To: int32(r), Payload: Message{uint64(r), math.Float64bits(vals[r])}})
 			}
 		}
 		in, err := st.sim.Exchange(out)
 		if err != nil {
 			return err
 		}
-		for r := 0; r < nAssign && r < st.n; r++ {
-			sums[r] = []float64{own[r]}
-			for _, rm := range in[r] {
-				sums[r][0] += math.Float64frombits(rm.Payload[1])
-			}
-		}
-		// Responsible nodes forward to the leader (1 round).
+		// Responsible nodes add up their assignment's values and forward
+		// the sum to the leader (1 round); the leader is responsible for
+		// assignment 0.
 		out = NewOut(st.n)
-		for r := 1; r < nAssign; r++ {
-			out[r] = append(out[r], Directed{To: 0, Payload: Message{uint64(r), math.Float64bits(sums[r][0])}})
+		best, bestVal := 0, 0.0
+		for r := 0; r < nAssign; r++ {
+			sum := st.nodes[r].own
+			for _, rm := range in[r] {
+				sum += math.Float64frombits(rm.Payload[1])
+			}
+			if r == 0 {
+				bestVal = sum
+				continue
+			}
+			out[r] = append(out[r], Directed{To: 0, Payload: Message{uint64(r), math.Float64bits(sum)}})
 		}
 		in, err = st.sim.Exchange(out)
 		if err != nil {
 			return err
 		}
-		best, bestVal := 0, sums[0][0]
 		for r := 1; r < nAssign; r++ {
 			msg, ok := Lookup(in[0], r)
 			if !ok {
@@ -552,20 +554,22 @@ func coinTable(fam *gf2.Family, id, b, w int, counts []uint64) ([]batchCoin, err
 	return tab, nil
 }
 
-// edgeExpCoins computes E[X_e | bs] for a conflict edge over the w-bit
-// batch from the endpoints' leaf counts ku, kv and coin tables cu, cv:
+// edgeExpCoins sets out[k] = E[X_e | lane k's assignment] for a
+// conflict edge over the w-bit batch, for every lane of lb's current
+// chunk, from the endpoints' leaf counts ku, kv and coin tables cu, cv:
 // survival requires both endpoints to pick the same path, and each path
 // contributes the reciprocal surviving list sizes. kv == nil (the
-// neighbor's counts never arrived) contributes 0. events is the ProbConj
-// scratch buffer; the possibly grown buffer is returned for reuse. The
-// paths, the coin events and the sum run in the order of the per-edge
-// reference (edgeExp in oracle_test.go), so the result is bit-identical
-// to it.
-func edgeExpCoins(bs *gf2.Basis, ku, kv []uint64, cu, cv []batchCoin, w int, events []gf2.CoinEvent) (float64, []gf2.CoinEvent) {
+// neighbor's counts never arrived) contributes 0. pr is scratch for the
+// per-path lane probabilities and events the ProbConj scratch buffer;
+// the possibly grown buffer is returned for reuse. Per lane, the paths,
+// the coin events and the sum run in the order of the scalar reference
+// (edgeExpCoins in oracle_test.go), so every lane is bit-identical to
+// it.
+func edgeExpCoins(lb *gf2.LaneBasis, out, pr *[64]float64, ku, kv []uint64, cu, cv []batchCoin, w int, events []gf2.CoinEvent) []gf2.CoinEvent {
+	*out = [64]float64{}
 	if kv == nil {
-		return 0, events
+		return events
 	}
-	total := 0.0
 	for p := 0; p < 1<<w; p++ {
 		if ku[p] == 0 || kv[p] == 0 {
 			continue
@@ -586,11 +590,15 @@ func edgeExpCoins(bs *gf2.Basis, ku, kv []uint64, cu, cv []batchCoin, w int, eve
 		if !ok {
 			continue
 		}
-		if pr := gf2.ProbConj(bs, events); pr > 0 {
-			total += pr * (1/float64(ku[p]) + 1/float64(kv[p]))
+		lb.ProbConj(events, pr)
+		inv := 1/float64(ku[p]) + 1/float64(kv[p])
+		for k := 0; k < lb.Lanes(); k++ {
+			if pr[k] > 0 {
+				out[k] += pr[k] * inv
+			}
 		}
 	}
-	return total, events
+	return events
 }
 
 // localFinish routes the uncolored subgraph and lists to the leader,

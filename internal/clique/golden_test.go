@@ -74,6 +74,15 @@ var goldenCliqueRuns = []cliqueGolden{
 	{inst: "lists", opts: "lambda2", crc: 0x4a25683d, stats: Stats{Rounds: 173, Messages: 8195, Words: 14813, MaxMessageWords: 3}, iterations: 1, maxBatch: 1, localAt: 3},
 }
 
+// goldenWideRuns pins runs with n ≥ 128, where the seed segment is
+// λ = 7 bits wide and its 128 assignments span two 64-lane chunks of
+// the lane walk. The values were recorded before the lane walk
+// replaced the per-assignment scalar walks.
+var goldenWideRuns = []cliqueGolden{
+	{inst: "regular128", opts: "default", crc: 0x51ccbaef, stats: Stats{Rounds: 42, Messages: 126970, Words: 252361, MaxMessageWords: 3}, iterations: 1, maxBatch: 1, localAt: 21},
+	{inst: "gnp130", opts: "default", crc: 0x38efc1a4, stats: Stats{Rounds: 65, Messages: 222731, Words: 442785, MaxMessageWords: 3}, iterations: 1, maxBatch: 1, localAt: 13},
+}
+
 func colorsCRC(colors []uint32) uint32 {
 	buf := make([]byte, 4*len(colors))
 	for i, c := range colors {
@@ -101,6 +110,21 @@ func TestCliqueGoldenSweep(t *testing.T) {
 			if w, ok := want[[2]string{in, on}]; !ok || w != got {
 				t.Errorf("%s/%s drifted from the recorded run; got\n\t%#v,", in, on, got)
 			}
+		}
+	}
+	wide := map[string]*graph.Instance{
+		"regular128": graph.DeltaPlusOneInstance(graph.MustRandomRegular(128, 4, 4)),
+		"gnp130":     graph.DeltaPlusOneInstance(graph.GNP(130, 0.04, 3)),
+	}
+	for _, w := range goldenWideRuns {
+		res, err := ListColorClique(wide[w.inst], goldenOptions[w.opts])
+		if err != nil {
+			t.Fatalf("%s/%s: %v", w.inst, w.opts, err)
+		}
+		got := cliqueGolden{w.inst, w.opts, colorsCRC(res.Colors), res.Stats,
+			res.Iterations, res.MaxBatch, res.LocalFinishUncolored}
+		if got != w {
+			t.Errorf("%s/%s drifted from the recorded run; got\n\t%#v,", w.inst, w.opts, got)
 		}
 	}
 }

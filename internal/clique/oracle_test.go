@@ -61,14 +61,53 @@ func (st *cliqueRun) edgeExp(bs *gf2.Basis, fam *gf2.Family, nd *clqNode, u, w i
 	return total
 }
 
+// scalarEdgeExpCoins is the scalar reference for the lane walk of
+// edgeExpCoins: E[X_e | bs] for a conflict edge over the w-bit batch,
+// one ProbConj per surviving path over coins taken from the endpoints'
+// coin tables. events is the ProbConj scratch buffer; the possibly grown
+// buffer is returned for reuse.
+func scalarEdgeExpCoins(bs *gf2.Basis, ku, kv []uint64, cu, cv []batchCoin, w int, events []gf2.CoinEvent) (float64, []gf2.CoinEvent) {
+	if kv == nil {
+		return 0, events
+	}
+	total := 0.0
+	for p := 0; p < 1<<w; p++ {
+		if ku[p] == 0 || kv[p] == 0 {
+			continue
+		}
+		events = events[:0]
+		ok := true
+		for t := 0; t < w && ok; t++ {
+			i := 1<<t - 1 + p>>uint(w-t) // entry of p's first t bits
+			want := p>>uint(w-1-t)&1 == 1
+			for _, tab := range [2][]batchCoin{cu, cv} {
+				if tab[i].den == 0 {
+					ok = false
+					break
+				}
+				events = append(events, gf2.CoinEvent{Coin: tab[i].coin, Want: want})
+			}
+		}
+		if !ok {
+			continue
+		}
+		if pr := gf2.ProbConj(bs, events); pr > 0 {
+			total += pr * (1/float64(ku[p]) + 1/float64(kv[p]))
+		}
+	}
+	return total, events
+}
+
 // TestEdgeExpCoinsMatchesReference is the differential test of the coin
-// hoist: over random candidate sets (so random leaf counts, empty
-// subtrees included), random conflict graphs, batch widths w ∈ {1,2,3}
-// and random bases with fixed seed bits and general constraints, the
-// coin-table evaluation must equal the per-edge reference exactly (==
-// on float64). It also checks the premise that lets an owner read its
-// neighbor's coin table: the counts the owner received, nbrK[u], are u's
-// own leafCounts.
+// hoist and the lane walk: over random candidate sets (so random leaf
+// counts, empty subtrees included), random conflict graphs, batch widths
+// w ∈ {1,2,3}, random seed segments of width 1..7 and random bases with
+// fixed seed bits and general constraints off the segment, every lane r
+// of edgeExpCoins must equal the scalar coin-table reference under base
+// ∧ {segment = r}, which must in turn equal the per-edge reference —
+// exactly (== on float64). It also checks the premise that lets an
+// owner read its neighbor's coin table: the counts the owner received,
+// nbrK[u], are u's own leafCounts.
 func TestEdgeExpCoinsMatchesReference(t *testing.T) {
 	src := prng.New(77)
 	nonzero := 0
@@ -123,15 +162,31 @@ func TestEdgeExpCoinsMatchesReference(t *testing.T) {
 			}
 		}
 		events := make([]gf2.CoinEvent, 0, 2*w)
+		var lb gf2.LaneBasis
+		var got, pr [64]float64
+		d := fam.SeedBits()
 		for k := 0; k < 4; k++ {
+			segW := 1 + src.Intn(min(7, d))
+			segStart := src.Intn(d - segW + 1)
+			seg := (uint64(1)<<segW - 1) << segStart
 			bs := gf2.NewBasis()
-			for i := 0; i < fam.SeedBits(); i++ {
-				if src.Intn(3) == 0 {
+			for i := 0; i < d; i++ {
+				if seg>>i&1 == 0 && src.Intn(3) == 0 {
 					bs.FixBit(i, src.Bool())
 				}
 			}
 			if k%2 == 1 {
-				bs.Add(gf2.Form{Mask: gf2.VecFromUint64(src.Uint64() & (1<<fam.SeedBits() - 1))}, src.Bool())
+				bs.Add(gf2.Form{Mask: gf2.VecFromUint64(src.Uint64() & (1<<d - 1) &^ seg)}, src.Bool())
+			}
+			if err := lb.Reset(bs, segStart, segW); err != nil {
+				t.Fatal(err)
+			}
+			bases := make([]*gf2.Basis, 1<<segW)
+			for r := range bases {
+				bases[r] = bs.Clone()
+				for i := 0; i < segW; i++ {
+					bases[r].FixBit(segStart+i, r>>i&1 == 1)
+				}
 			}
 			for v, nd := range nodes {
 				for _, u32 := range nd.conflict {
@@ -139,14 +194,28 @@ func TestEdgeExpCoinsMatchesReference(t *testing.T) {
 					if u < v {
 						continue
 					}
-					want := st.edgeExp(bs, fam, nd, u, w)
-					var got float64
-					got, events = edgeExpCoins(bs, nd.nbrK[v], nd.nbrK[u], nd.coins, nodes[u].coins, w, events)
-					if got != want {
-						t.Fatalf("trial %d (w=%d, basis %d): edge (%d,%d) = %v, reference %v", trial, w, k, v, u, got, want)
-					}
-					if want != 0 {
-						nonzero++
+					for c := 0; c < lb.Chunks(); c++ {
+						lb.SetChunk(c)
+						events = edgeExpCoins(&lb, &got, &pr, nd.nbrK[v], nd.nbrK[u], nd.coins, nodes[u].coins, w, events)
+						for l := 0; l < lb.Lanes(); l++ {
+							r := c<<6 | l
+							var want float64
+							want, events = scalarEdgeExpCoins(bases[r], nd.nbrK[v], nd.nbrK[u], nd.coins, nodes[u].coins, w, events)
+							// The per-edge reference rebuilds every coin; every
+							// 8th lane keeps the chain to it checked.
+							if r%8 == 0 {
+								if ref := st.edgeExp(bases[r], fam, nd, u, w); want != ref {
+									t.Fatalf("trial %d (w=%d, basis %d): edge (%d,%d) scalar %v, per-edge reference %v", trial, w, k, v, u, want, ref)
+								}
+							}
+							if got[l] != want {
+								t.Fatalf("trial %d (w=%d, basis %d, segment [%d,%d)): edge (%d,%d) lane %d = %v, scalar %v",
+									trial, w, k, segStart, segStart+segW, v, u, r, got[l], want)
+							}
+							if want != 0 {
+								nonzero++
+							}
+						}
 					}
 				}
 			}

@@ -104,7 +104,10 @@ type CoinEvent struct {
 // sees it unchanged afterwards, but one slice must not be passed to
 // concurrent ProbConj calls.
 //
-//sbw:allocfree clique/MPC multi-bit survival queries: one call per (node, assignment, owned edge, path)
+// The clique derandomization scores seed assignments with the lane walk
+// LaneBasis.ProbConj; this scalar query is its reference.
+//
+//sbw:allocfree scalar reference of the lane survival queries, pinned by TestProbConjAllocFree
 func ProbConj(bs *Basis, events []CoinEvent) float64 {
 	if len(events) == 0 {
 		return 1

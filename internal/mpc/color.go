@@ -171,11 +171,11 @@ func ListColorMPC(inst *graph.Instance, opts Options) (*Result, error) {
 
 	res := &Result{Machines: rt.M, S: rt.S}
 	depth := rt.AggDepth()
-	// Per-bit coins and per-assignment marginals, reused across bits; the
-	// assignment basis is rebuilt into one scratch basis.
+	// Per-bit coins and per-chunk lane marginals, reused across bits.
 	coins := make([]gf2.Coin, n)
-	p1 := make([]float64, n)
-	bs := gf2.NewBasis()
+	p1 := make([][64]float64, n)
+	var lb gf2.LaneBasis
+	var pu, p11, totals [64]float64
 
 	conflictEdgeIO := func() []int {
 		io := make([]int, rt.M)
@@ -285,18 +285,20 @@ func ListColorMPC(inst *graph.Instance, opts Options) (*Result, error) {
 			for segStart := 0; segStart < d; segStart += lambda {
 				segW := min(lambda, d-segStart)
 				nAssign := 1 << segW
+				if err := lb.Reset(basis, segStart, segW); err != nil {
+					return nil, fmt.Errorf("mpc: %w", err)
+				}
+				// Up to 64 assignments per lane walk: lane k of chunk c
+				// scores r = c·64 + k, and the argmin scans r in order.
 				best, bestVal := 0, 0.0
-				for r := 0; r < nAssign; r++ {
-					basis.CloneInto(bs)
-					for t := 0; t < segW; t++ {
-						bs.FixBit(segStart+t, r>>uint(t)&1 == 1)
-					}
+				for c := 0; c < lb.Chunks(); c++ {
+					lb.SetChunk(c)
 					for v, nd := range nodes {
 						if nd.alive && len(nd.conflict) > 0 {
-							p1[v] = coins[v].ProbOne(bs)
+							lb.ProbOne(coins[v], &p1[v])
 						}
 					}
-					total := 0.0
+					totals = [64]float64{}
 					for v, nd := range nodes {
 						if !nd.alive {
 							continue
@@ -306,12 +308,17 @@ func ListColorMPC(inst *graph.Instance, opts Options) (*Result, error) {
 							if w < v {
 								continue
 							}
-							total += edgeExp(p1[v], p1[w], gf2.ProbBothOne(bs, coins[v], coins[w]),
-								nd.k1, uint64(len(nd.cands)), nodes[w].k1, uint64(len(nodes[w].cands)))
+							lb.ProbBothOne(coins[v], coins[w], &pu, &p11)
+							for k := 0; k < lb.Lanes(); k++ {
+								totals[k] += edgeExp(p1[v][k], p1[w][k], p11[k],
+									nd.k1, uint64(len(nd.cands)), nodes[w].k1, uint64(len(nodes[w].cands)))
+							}
 						}
 					}
-					if r == 0 || total < bestVal {
-						best, bestVal = r, total
+					for k := 0; k < lb.Lanes(); k++ {
+						if r := c<<6 | k; r == 0 || totals[k] < bestVal {
+							best, bestVal = r, totals[k]
+						}
 					}
 				}
 				// Vector aggregation up the tree + argmin broadcast.

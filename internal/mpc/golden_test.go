@@ -41,6 +41,11 @@ var goldenOptions = map[string]Options{
 	"linear":    {},
 	"sublinear": {Sublinear: true},
 	"lambda2":   {LambdaCap: 2},
+	// S = 2^15 gives λ = 7 (2^λ ≤ √S): 128 assignments per segment, two
+	// 64-lane chunks of the lane walk. The layout is sublinear because
+	// the linear one ships these inputs to one machine before the first
+	// iteration.
+	"s32k": {Sublinear: true, S: 1 << 15},
 }
 
 // goldenMPCRuns pins ListColorMPC's outputs over the sweep. The values
@@ -60,6 +65,12 @@ var goldenMPCRuns = []mpcGolden{
 	{inst: "lists", opts: "linear", crc: 0xdd56cafc, rounds: 92, iterations: 1, highWaterMem: 648, highWaterIO: 1156, finished: true},
 	{inst: "lists", opts: "sublinear", crc: 0x3b59967, rounds: 837, iterations: 2, highWaterMem: 30, highWaterIO: 80, finished: false},
 	{inst: "lists", opts: "lambda2", crc: 0x7a05edc4, rounds: 188, iterations: 1, highWaterMem: 648, highWaterIO: 390, finished: true},
+	// Recorded before the lane walk replaced the per-assignment scalar
+	// walks.
+	{inst: "regular", opts: "s32k", crc: 0x667daa0b, rounds: 83, iterations: 2, highWaterMem: 2340, highWaterIO: 23530, finished: false},
+	{inst: "gnp", opts: "s32k", crc: 0x210895f7, rounds: 107, iterations: 2, highWaterMem: 2832, highWaterIO: 23530, finished: false},
+	{inst: "grid", opts: "s32k", crc: 0xe5d1884b, rounds: 36, iterations: 1, highWaterMem: 1488, highWaterIO: 23530, finished: false},
+	{inst: "lists", opts: "s32k", crc: 0x48ca4576, rounds: 78, iterations: 1, highWaterMem: 2742, highWaterIO: 23530, finished: false},
 }
 
 func colorsCRC(colors []uint32) uint32 {
@@ -77,7 +88,7 @@ func TestMPCGoldenSweep(t *testing.T) {
 		want[[2]string{g.inst, g.opts}] = g
 	}
 	for _, in := range []string{"regular", "gnp", "grid", "lists"} {
-		for _, on := range []string{"linear", "sublinear", "lambda2"} {
+		for _, on := range []string{"linear", "sublinear", "lambda2", "s32k"} {
 			res, err := ListColorMPC(insts[in], goldenOptions[on])
 			if err != nil {
 				t.Fatalf("%s/%s: %v", in, on, err)

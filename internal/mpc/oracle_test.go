@@ -34,14 +34,18 @@ func edgeExp1(bs *gf2.Basis, fam *gf2.Family, b int, xu, k1u, lu, xv, k1v, lv ui
 }
 
 // TestEdgeExpMatchesReference is the differential test of the coin and
-// marginal hoist: with each node's coin built once and its marginal
-// Pr[C = 1] computed once per basis, the edge term must equal the
-// per-edge reference exactly (== on float64) over random bases (fixed
-// seed bits plus general constraints) and random counts, the degenerate
-// k1 = 0 and k1 = l coins included.
+// marginal hoist and the lane walk: with each node's coin built once,
+// its lane marginals Pr[C = 1] computed once per chunk and each edge's
+// joint from one lane ProbBothOne, the edge term of every lane r must
+// equal the per-edge reference under base ∧ {segment = r} exactly (==
+// on float64), over random bases (fixed seed bits plus general
+// constraints off the segment), random segments of width 1..7 and
+// random counts, the degenerate k1 = 0 and k1 = l coins included.
 func TestEdgeExpMatchesReference(t *testing.T) {
 	src := prng.New(91)
 	nonzero := 0
+	var lb gf2.LaneBasis
+	var pu, p11 [64]float64
 	for trial := 0; trial < 40; trial++ {
 		m := 6 + src.Intn(6)
 		b := 2 + src.Intn(m-1)
@@ -60,29 +64,48 @@ func TestEdgeExpMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		d := fam.SeedBits()
 		for k := 0; k < 6; k++ {
+			segW := 1 + src.Intn(7)
+			segStart := src.Intn(d - segW + 1)
+			seg := (uint64(1)<<segW - 1) << segStart
 			bs := gf2.NewBasis()
-			for i := 0; i < fam.SeedBits(); i++ {
-				if src.Intn(3) == 0 {
+			for i := 0; i < d; i++ {
+				if seg>>i&1 == 0 && src.Intn(3) == 0 {
 					bs.FixBit(i, src.Bool())
 				}
 			}
 			if k%2 == 1 {
-				bs.Add(gf2.Form{Mask: gf2.VecFromUint64(src.Uint64() & (1<<fam.SeedBits() - 1))}, src.Bool())
+				bs.Add(gf2.Form{Mask: gf2.VecFromUint64(src.Uint64() & (1<<d - 1) &^ seg)}, src.Bool())
 			}
-			p1 := make([]float64, n)
-			for v := range coins {
-				p1[v] = coins[v].ProbOne(bs)
+			if err := lb.Reset(bs, segStart, segW); err != nil {
+				t.Fatal(err)
 			}
-			for v := 0; v < n; v++ {
-				for w := v + 1; w < n; w++ {
-					want := edgeExp1(bs, fam, b, uint64(v), k1[v], l[v], uint64(w), k1[w], l[w])
-					got := edgeExp(p1[v], p1[w], gf2.ProbBothOne(bs, coins[v], coins[w]), k1[v], l[v], k1[w], l[w])
-					if got != want {
-						t.Fatalf("trial %d basis %d: edge (%d,%d) = %v, reference %v", trial, k, v, w, got, want)
-					}
-					if want != 0 {
-						nonzero++
+			p1 := make([][64]float64, n)
+			for c := 0; c < lb.Chunks(); c++ {
+				lb.SetChunk(c)
+				for v := range coins {
+					lb.ProbOne(coins[v], &p1[v])
+				}
+				for v := 0; v < n; v++ {
+					for w := v + 1; w < n; w++ {
+						lb.ProbBothOne(coins[v], coins[w], &pu, &p11)
+						for lane := 0; lane < lb.Lanes(); lane++ {
+							r := c<<6 | lane
+							bsr := bs.Clone()
+							for i := 0; i < segW; i++ {
+								bsr.FixBit(segStart+i, r>>i&1 == 1)
+							}
+							want := edgeExp1(bsr, fam, b, uint64(v), k1[v], l[v], uint64(w), k1[w], l[w])
+							got := edgeExp(p1[v][lane], p1[w][lane], p11[lane], k1[v], l[v], k1[w], l[w])
+							if got != want {
+								t.Fatalf("trial %d basis %d (segment [%d,%d)): edge (%d,%d) lane %d = %v, reference %v",
+									trial, k, segStart, segStart+segW, v, w, r, got, want)
+							}
+							if want != 0 {
+								nonzero++
+							}
+						}
 					}
 				}
 			}
