@@ -400,13 +400,17 @@ func BenchmarkFamilyEval(b *testing.B) {
 	sinkUint64 = acc
 }
 
-// BenchmarkEdgeExpectation measures one Lemma 2.2 conditional-
-// expectation edge term on the split-basis fast path — the innermost
-// unit of work of the Theorem 1.1 derandomization (evaluated twice per
-// seed bit per conflict edge before the rework, once after).
+// BenchmarkEdgeExpectation measures the probabilities of one Lemma 2.2
+// conditional-expectation edge term on the lane arm of the phase loop,
+// which evaluates every seed bit when the seed is longer than one word
+// (D > 64, as HighAccuracy runs on large-degree graphs give): seed bit
+// j is a one-bit lane segment, and lane β holds Pr[C1=1], Pr[C2=1] and
+// Pr[C1=1 ∧ C2=1] under bit j = β. D = 66 here, with B = 33 forms per
+// coin as production has at that seed length, and the split bit
+// straddles the word boundary.
 func BenchmarkEdgeExpectation(b *testing.B) {
-	fam := gf2.MustFamily(13, 2)
-	const acc = 11
+	fam := gf2.MustFamily(33, 2)
+	const acc = 33
 	fu := fam.OutputForms(7, acc)
 	fv := fam.OutputForms(19, acc)
 	cu, err := gf2.NewCoinFromForms(fu, 3, 7)
@@ -420,16 +424,17 @@ func BenchmarkEdgeExpectation(b *testing.B) {
 	basis := gf2.NewBasis()
 	basis.FixBit(0, true)
 	basis.FixBit(2, false)
+	var lb gf2.LaneBasis
+	var p1u, p11, p1v [64]float64
 	b.ReportAllocs()
 	var sink float64
 	for i := 0; i < b.N; i++ {
-		sb, ok := basis.Split(3 + i%8)
-		if !ok {
-			b.Fatal("split refused")
+		if err := lb.Reset(basis, 60+i%6, 1); err != nil {
+			b.Fatal(err)
 		}
-		e0, e1 := core.EdgeExpectationSplit(sb, cu, cv, 3, 4, 4, 5)
-		sb.Release()
-		sink += e0 + e1
+		lb.ProbBothOne(cu, cv, &p1u, &p11)
+		lb.ProbOne(cv, &p1v)
+		sink += p1u[0] + p11[0] + p1v[0] + p1u[1] + p11[1] + p1v[1]
 	}
 	sinkFloat64 = sink
 }

@@ -49,7 +49,7 @@ func compareRuns(t *testing.T, name string, ref, got *Result) {
 // owned-edge counts that straddle its block boundaries — 0 owned edges
 // (no sheets at all), 1, one lane shy of typical sheet capacity, at it,
 // and past it (63, 64, 65 force single- and multi-sheet layouts) — and
-// pins the three evaluation tiers against each other on each: the
+// pins the three evaluation paths against each other on each: the
 // reference path (refEval), the per-node batched path with real tree
 // aggregations (noBulk), and the default bulk path. A star's center owns
 // every edge (it carries the smallest ID), so the star's leaf count is

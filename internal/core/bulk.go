@@ -35,8 +35,8 @@ import (
 // and an even split of the slots would leave the first band the
 // bottleneck. Each non-coordinator band evaluates against its own
 // pooled clone of the bit's SplitBasis (the split carries walk
-// scratch). The tree-order fold, the argmin and FixBit stay on the
-// coordinator.
+// scratch), or, when D > 64, with its own lane-arm scratch. The
+// tree-order fold, the argmin and FixBit stay on the coordinator.
 //
 // Bit-identity with the per-node loop (opts.noBulk) and the reference
 // path (opts.refEval) rests on three invariants, each pinned by the
@@ -87,10 +87,9 @@ type phaseHub struct {
 	seed  gf2.Vec128 // the finished phase's seed, read by every slot on wake
 
 	// The step every band runs next (runBand): fold bit stepJ−1 to
-	// prevR, then evaluate bit stepJ under split/prefix. Written by the
+	// prevR, then evaluate bit stepJ under prefix. Written by the
 	// coordinator before each wake.
 	stepJ  int
-	split  bool
 	prefix uint64
 	prevR  bool
 
@@ -102,6 +101,7 @@ type phaseHub struct {
 	k      int
 	cuts   []int
 	bandSB []*gf2.SplitBasis // this bit's pooled split clone per worker band
+	lanes  []phaseLanes      // per band, the lane-arm scratch (nil unless D > 64)
 	wake   []chan bool
 	bodies []func()
 	fault  []any // a band's recovered panic, re-raised by the coordinator
@@ -126,6 +126,9 @@ func newPhaseHub(size int, p *Params, workers int) *phaseHub {
 		slots: make([]hubSlot, size),
 		acc:   make([][2]float64, size),
 		k:     min(congest.DeliveryShards(size, workers), size),
+	}
+	if p.D > 64 {
+		h.lanes = make([]phaseLanes, h.k)
 	}
 	if h.k > 1 {
 		h.cuts = make([]int, h.k+1)
@@ -201,12 +204,11 @@ func (h *phaseHub) runSeedBits() gf2.Vec128 {
 	for j := 0; ; j++ {
 		h.stepJ = j
 		var sb *gf2.SplitBasis
-		h.split = false
 		if j < h.p.D {
-			sb, h.split = basis.Split(j)
+			sb = splitBit(basis, h.p.D, j)
 		}
 		h.step(sb)
-		if h.split {
+		if sb != nil {
 			sb.Release()
 		}
 		if j == h.p.D {
@@ -253,24 +255,24 @@ func (h *phaseHub) cutBands() {
 }
 
 // step runs the current step on every band and returns once all are
-// done: the worker bands each get a pooled clone of sb, the coordinator
-// runs band 0 on sb itself.
+// done: the worker bands each get a pooled clone of sb (nil past the
+// last bit and when D > 64), the coordinator runs band 0 on sb itself.
 //
 //sbw:allocfree phase-hub fork/join: one call per seed bit per phase
 func (h *phaseHub) step(sb *gf2.SplitBasis) {
 	if h.k == 1 {
-		h.runBand(0, h.size, sb)
+		h.runBand(0, 0, h.size, sb)
 		return
 	}
 	h.joined.Add(h.k - 1)
 	for b := 1; b < h.k; b++ {
 		h.bandSB[b] = nil
-		if h.split {
+		if sb != nil {
 			h.bandSB[b] = sb.Clone()
 		}
 		h.wake[b] <- true
 	}
-	h.runBand(0, h.cuts[1], sb)
+	h.runBand(0, 0, h.cuts[1], sb)
 	h.joined.Wait()
 	for b := 1; b < h.k; b++ {
 		if h.fault[b] != nil {
@@ -288,8 +290,12 @@ func (h *phaseHub) step(sb *gf2.SplitBasis) {
 // inputs and the concurrency-safe marginal memo.
 //
 //sbw:allocfree phase-hub band step: one call per band per seed bit
-func (h *phaseHub) runBand(lo, hi int, sb *gf2.SplitBasis) {
+func (h *phaseHub) runBand(b, lo, hi int, sb *gf2.SplitBasis) {
 	j := h.stepJ
+	var lanes *phaseLanes
+	if h.lanes != nil {
+		lanes = &h.lanes[b]
+	}
 	for si := lo; si < hi; si++ {
 		ns := h.slots[si].ns
 		if j > 0 {
@@ -298,7 +304,7 @@ func (h *phaseHub) runBand(lo, hi int, sb *gf2.SplitBasis) {
 		if j < h.p.D {
 			var x0, x1 float64
 			if ns.alive {
-				x0, x1 = ns.evalPhaseBit(j, &h.basis, sb, h.split, h.prefix)
+				x0, x1 = ns.evalPhaseBit(j, &h.basis, sb, lanes, h.prefix)
 			}
 			h.acc[si] = [2]float64{x0, x1}
 		}
@@ -317,7 +323,7 @@ func (h *phaseHub) bandWorker(b int) {
 		}
 	}()
 	for <-h.wake[b] {
-		h.runBand(h.cuts[b], h.cuts[b+1], h.bandSB[b])
+		h.runBand(b, h.cuts[b], h.cuts[b+1], h.bandSB[b])
 		h.joined.Done()
 	}
 }

@@ -115,30 +115,7 @@ func synthHub(t *testing.T, size, deg int) *phaseHub {
 	}
 	h := newPhaseHub(size, p, 0)
 	for si := 0; si < size; si++ {
-		owned := max(1, deg-si)
-		ns := &nodeState{p: p, alive: true, psi: uint64(si) % p.K, memoStripe: margStripeFor(si, size)}
-		ns.nbrPsi = make([]uint64, owned)
-		ns.nbrK1 = make([]uint64, owned)
-		ns.nbrLen = make([]uint64, owned)
-		ns.nbrCoins = make([]gf2.Coin, owned)
-		ns.nbrForms = make([][]gf2.Form, owned)
-		ns.nbrFormsPsi = make([]uint64, owned)
-		ns.nbrFormsOK = make([]bool, owned)
-		for i := 0; i < owned; i++ {
-			ns.nbrPsi[i] = uint64(si+3*i+1) % p.K
-			ns.nbrK1[i], ns.nbrLen[i] = uint64(1+i%3), 4
-			ns.nbrCoins[i], err = gf2.NewCoinFromForms(ns.neighborForms(i, ns.nbrPsi[i]), ns.nbrK1[i], ns.nbrLen[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			ns.ownedIdx = append(ns.ownedIdx, int32(i))
-		}
-		ns.phK1, ns.phK0 = 2, 3
-		ns.phMyCoin, err = gf2.NewCoinFromForms(ns.ownForms(), 2, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ns.buildSheets(ns.phMyCoin)
+		ns := synthNode(t, p, si, size, max(1, deg-si))
 		h.slots[si].ns = ns
 		if si > 0 {
 			h.slots[0].kids = append(h.slots[0].kids, int32(si))
@@ -148,6 +125,39 @@ func synthHub(t *testing.T, size, deg int) *phaseHub {
 	h.order = append(h.order, 0)
 	h.built = true
 	return h
+}
+
+// synthNode is slot si of an n-slot synthetic component: an alive node
+// with owned conflict edges to neighbors of varied ψ and coin counts,
+// its phase inputs stashed and its sheets laid out as runPhase leaves
+// them.
+func synthNode(t *testing.T, p *Params, si, n, owned int) *nodeState {
+	t.Helper()
+	ns := &nodeState{p: p, alive: true, psi: uint64(si) % p.K, memoStripe: margStripeFor(si, n)}
+	ns.nbrPsi = make([]uint64, owned)
+	ns.nbrK1 = make([]uint64, owned)
+	ns.nbrLen = make([]uint64, owned)
+	ns.nbrCoins = make([]gf2.Coin, owned)
+	ns.nbrForms = make([][]gf2.Form, owned)
+	ns.nbrFormsPsi = make([]uint64, owned)
+	ns.nbrFormsOK = make([]bool, owned)
+	var err error
+	for i := 0; i < owned; i++ {
+		ns.nbrPsi[i] = uint64(si+3*i+1) % p.K
+		ns.nbrK1[i], ns.nbrLen[i] = uint64(1+i%3), 4
+		ns.nbrCoins[i], err = gf2.NewCoinFromForms(ns.neighborForms(i, ns.nbrPsi[i]), ns.nbrK1[i], ns.nbrLen[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		ns.ownedIdx = append(ns.ownedIdx, int32(i))
+	}
+	ns.phK1, ns.phK0 = 2, 3
+	ns.phMyCoin, err = gf2.NewCoinFromForms(ns.ownForms(), 2, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ns.buildSheets(ns.phMyCoin)
+	return ns
 }
 
 // resetSheets re-lays every slot's sheets, undoing a segment's folds so

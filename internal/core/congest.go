@@ -541,7 +541,6 @@ type nodeState struct {
 	nbrCoins  []gf2.Coin
 	hNbr      []bool
 	nbrColors []uint64
-	basisTmp  gf2.Basis
 
 	// Derandomization hot-path caches. The coin *forms* of a node depend
 	// only on (ψ, B), both fixed for the whole run once Linial finishes,
@@ -577,17 +576,19 @@ type nodeState struct {
 	// (gf2.FormSheet): each sheet packs this node's coin forms plus as
 	// many neighbor coins as fit its 64 lanes, is folded incrementally
 	// as seed bits are chosen, and feeds the block kernels. Rebuilt per
-	// phase (the storage is reused); sheetOK gates the batched path —
-	// when false (wide masks, B too large for a lane pair, D > 64) the
-	// loop falls back to the scalar kernels edge by edge.
+	// phase (the storage is reused); empty when D > 64, where the lane
+	// arm evaluates the seed bits instead.
 	sheets   []*gf2.FormSheet
 	sheetN   int
-	sheetOK  bool
 	edgeBlk  []edgeBlock  // per owned edge: sheet index and lane groups
 	pvBuf    [][2]float64 // per owned edge: neighbor marginal pair this bit
 	pendBuf  []int32      // owned-edge positions whose marginal missed the memo
 	pairBuf  []gf2.ProbPair
 	blockReq []gf2.BlockCoin
+
+	// The per-node loop's lane-arm scratch (noBulk with D > 64),
+	// allocated on first use.
+	lanes *phaseLanes
 
 	// msgArena holds the reusable outgoing payload buffers, 4 words (the
 	// bandwidth cap) per neighbor, two arenas alternating by round
@@ -606,6 +607,14 @@ type nodeState struct {
 type edgeBlock struct {
 	sheet  int32
 	cu, cv gf2.BlockCoin
+}
+
+// phaseLanes is the lane arm's scratch: a lane basis conditioned on one
+// seed bit as a one-bit segment (lane β scores bit = β) and its lane
+// outputs. One per hub band, or per node in the per-node loop.
+type phaseLanes struct {
+	lb            gf2.LaneBasis
+	p1u, p11, p1v [64]float64
 }
 
 // msgBuf returns the empty reusable payload buffer for neighbor index i
@@ -1049,9 +1058,8 @@ func (ns *nodeState) runPhase(iter, l int) {
 	}
 
 	// Stash the seed-bit loop's inputs and lay the owned edges' form
-	// residuals out as incrementally folded sheets (the bit-sliced block
-	// path; evalPhaseBit falls back to the scalar kernels when the
-	// layout doesn't apply).
+	// residuals out as incrementally folded sheets (the block arm of
+	// evalPhaseBit).
 	ns.phK1, ns.phK0, ns.phMyCoin = k1, k0, myCoin
 	ns.buildSheets(myCoin)
 
@@ -1067,19 +1075,19 @@ func (ns *nodeState) runPhase(iter, l int) {
 	// expectations, one tree aggregation per bit.
 	basis := &ns.phaseBasis
 	basis.Reset()
+	if ns.p.D > 64 && ns.lanes == nil {
+		ns.lanes = new(phaseLanes)
+	}
 	var seed gf2.Vec128
 	var prefix uint64
 	for j := 0; j < ns.p.D; j++ {
 		var x0, x1 float64
 		if ns.alive {
 			// One symbolic conditioning on seed bit j serves every owned
-			// edge and both β branches: the basis holds only the already
-			// chosen bits 0..j−1, so bit j is always free to split. The
-			// clone-and-FixBit fallback keeps the evaluation total if that
-			// ever stopped holding.
-			sb, split := basis.Split(j)
-			x0, x1 = ns.evalPhaseBit(j, basis, sb, split, prefix)
-			if split {
+			// edge and both β branches.
+			sb := splitBit(basis, ns.p.D, j)
+			x0, x1 = ns.evalPhaseBit(j, basis, sb, ns.lanes, prefix)
+			if sb != nil {
 				sb.Release()
 			}
 		}
@@ -1103,17 +1111,13 @@ func (ns *nodeState) runPhase(iter, l int) {
 // buildSheets lays this phase's owned-edge coin forms out on residual
 // sheets: each sheet carries this node's form group once plus as many
 // neighbor groups as fit, in owned-edge order, so a pending-marginal
-// batch is a contiguous run per sheet. Any group that cannot lie on a
-// sheet (wide masks, B > 32) clears sheetOK and the whole node falls
-// back to the scalar kernels — never a mixed layout, which keeps the
-// fallback decision identical across bits.
+// batch is a contiguous run per sheet. D ≤ 64 gives M ≤ 32, so every
+// form fits the low word and a node's group plus a neighbor's (B ≤ 32
+// forms each) fits one sheet; D > 64 lays out nothing.
 func (ns *nodeState) buildSheets(myCoin gf2.Coin) {
 	ns.sheetN = 0
 	ns.edgeBlk = ns.edgeBlk[:0]
-	// The batched path mirrors the memoable scalar path, so it shares
-	// its gate: the chosen prefix must fit one memo key word.
-	ns.sheetOK = ns.p.D <= 64 && ns.alive && len(ns.ownedIdx) > 0
-	if !ns.sheetOK {
+	if ns.p.D > 64 || !ns.alive {
 		return
 	}
 	myForms := ns.ownForms()
@@ -1123,23 +1127,13 @@ func (ns *nodeState) buildSheets(myCoin gf2.Coin) {
 		fv := ns.neighborForms(int(i), ns.nbrPsi[i])
 		if cur == nil || cur.Free() < len(fv) {
 			cur = ns.nextSheet()
-			lane, ok := cur.AddForms(myForms)
-			if !ok {
-				ns.sheetOK, ns.sheetN = false, 0
-				return
-			}
-			cu = gf2.BlockCoin{Lane: lane, B: myCoin.Bits(), T: myCoin.Threshold()}
-		}
-		lane, ok := cur.AddForms(fv)
-		if !ok {
-			ns.sheetOK, ns.sheetN = false, 0
-			return
+			cu = gf2.BlockCoin{Lane: mustAddForms(cur, myForms), B: myCoin.Bits(), T: myCoin.Threshold()}
 		}
 		cv := ns.nbrCoins[i]
 		ns.edgeBlk = append(ns.edgeBlk, edgeBlock{
 			sheet: int32(ns.sheetN - 1),
 			cu:    cu,
-			cv:    gf2.BlockCoin{Lane: lane, B: cv.Bits(), T: cv.Threshold()},
+			cv:    gf2.BlockCoin{Lane: mustAddForms(cur, fv), B: cv.Bits(), T: cv.Threshold()},
 		})
 	}
 	for k := 0; k < ns.sheetN; k++ {
@@ -1153,6 +1147,16 @@ func (ns *nodeState) buildSheets(myCoin gf2.Coin) {
 		ns.blockReq = make([]gf2.BlockCoin, 0, n)
 	}
 	ns.pvBuf = ns.pvBuf[:n]
+}
+
+// mustAddForms adds a coin's form group to a sheet and returns its first
+// lane; buildSheets sizes every layout so the sheet cannot refuse.
+func mustAddForms(s *gf2.FormSheet, fs []gf2.Form) int {
+	lane, ok := s.AddForms(fs)
+	if !ok {
+		panic(fmt.Sprintf("core: sheet refused a %d-form coin with %d free lanes", len(fs), s.Free()))
+	}
+	return lane
 }
 
 // nextSheet returns the next reusable sheet, reset.
@@ -1177,107 +1181,100 @@ func (ns *nodeState) foldSheets(j int, rj bool) {
 	}
 }
 
+// splitBit is the block arm's conditioning on seed bit j: the split of
+// basis, or nil when D > 64 (the lane arm conditions itself). The loop
+// fixes bits in order, so basis holds only bits 0..j−1 and bit j is
+// always free to split.
+func splitBit(basis *gf2.Basis, d, j int) *gf2.SplitBasis {
+	if d > 64 {
+		return nil
+	}
+	sb, ok := basis.Split(j)
+	if !ok {
+		panic(fmt.Sprintf("core: seed bit %d is not free to split", j))
+	}
+	return sb
+}
+
 // evalPhaseBit sums this node's owned-edge contributions to the two
 // conditional expectations of seed bit j — E[X | bit=0] and E[X | bit=1]
-// — accumulated in owned-edge order. sb/split is the caller's symbolic
-// conditioning of basis on bit j (the per-node loop splits its own
-// basis; the hub splits one shared basis per bit — the same pure
-// function of the same fixed-bit history either way).
+// — accumulated in owned-edge order, against basis, which holds the
+// chosen bits 0..j−1. It has one arm per seed length, each bit-identical
+// to runPhaseRef (the differential suites and TestWideSeedPin pin
+// both):
 //
-// Three evaluation tiers, outermost first, each bit-identical to the
-// next (the differential and fuzz suites pin all of them against
-// runPhaseRef): the batched sheet path — memo probe per edge, one
-// block call per sheet for the band's pending marginal keys, then the
-// joint block kernel per edge; the scalar memoable path; and the
-// clone-and-FixBit fallback when the bit isn't free to split.
-func (ns *nodeState) evalPhaseBit(j int, basis *gf2.Basis, sb *gf2.SplitBasis, split bool, prefix uint64) (x0, x1 float64) {
+//   - D ≤ 64, the block arm: sb is the caller's split of basis on bit j
+//     (the per-node loop splits its own basis; the hub splits one shared
+//     basis per bit — the same pure function of the same fixed-bit
+//     history either way). Memo probe per edge, one block call per
+//     sheet for the pending marginal keys, then the joint block kernel
+//     per edge.
+//   - D > 64, the lane arm: the seed is past the sheets' and the memo
+//     key's single word, so bit j is scored as a one-bit lane segment —
+//     lane β is bit j = β — with lanes's lane basis, edge by edge.
+func (ns *nodeState) evalPhaseBit(j int, basis *gf2.Basis, sb *gf2.SplitBasis, lanes *phaseLanes, prefix uint64) (x0, x1 float64) {
 	k1, k0 := ns.phK1, ns.phK0
 	myCoin := ns.phMyCoin
-	memoable := ns.p.D <= 64 // the chosen prefix must fit one memo key word
-	if split && ns.sheetOK {
-		mk3 := uint64(j) | uint64(ns.p.M)<<8 | uint64(ns.p.B)<<16
-		// Probe the memo for every owned edge's neighbor marginal;
-		// collect the misses.
-		pend := ns.pendBuf[:0]
-		for ei, i := range ns.ownedIdx {
-			pv0, pv1, ok := margLoad(ns.memoStripe, ns.nbrPsi[i], ns.nbrCoins[i].Threshold(), prefix, mk3)
-			if ok {
-				ns.pvBuf[ei] = [2]float64{pv0, pv1}
-			} else {
-				pend = append(pend, int32(ei))
-			}
+	if ns.p.D > 64 {
+		lb := &lanes.lb
+		if err := lb.Reset(basis, j, 1); err != nil {
+			panic(fmt.Sprintf("core: seed bit %d: %v", j, err))
 		}
-		ns.pendBuf = pend
-		// Batch-fill the pending keys, one block call per sheet (edges
-		// of one sheet are contiguous in owned order). The computed
-		// pairs also land in pvBuf directly: memo entries are evictable,
-		// so the values must not be re-probed.
-		for s := 0; s < len(pend); {
-			e := s
-			sh := ns.edgeBlk[pend[s]].sheet
-			reqs := ns.blockReq[:0]
-			for e < len(pend) && ns.edgeBlk[pend[e]].sheet == sh {
-				reqs = append(reqs, ns.edgeBlk[pend[e]].cv)
-				e++
-			}
-			out := ns.pairBuf[:len(reqs)]
-			sb.ProbOnePairBlock(ns.sheets[sh], reqs, out)
-			for k := s; k < e; k++ {
-				ei := pend[k]
-				i := ns.ownedIdx[ei]
-				pr := out[k-s]
-				margStore(ns.memoStripe, ns.nbrPsi[i], ns.nbrCoins[i].Threshold(), prefix, mk3, pr.P0, pr.P1)
-				ns.pvBuf[ei] = [2]float64{pr.P0, pr.P1}
-			}
-			s = e
-		}
-		// Joint probabilities and the Lemma 2.2 terms, in owned order —
-		// the same accumulation order as the scalar path.
-		for ei, i := range ns.ownedIdx {
-			eb := &ns.edgeBlk[ei]
-			pv0, pv1 := ns.pvBuf[ei][0], ns.pvBuf[ei][1]
-			p1u0, p110, p1u1, p111 := sb.EdgePairBlock(ns.sheets[eb.sheet], eb.cu, eb.cv, pv0, pv1)
+		for _, i := range ns.ownedIdx {
+			cv := ns.nbrCoins[i]
+			lb.ProbBothOne(myCoin, cv, &lanes.p1u, &lanes.p11)
+			lb.ProbOne(cv, &lanes.p1v)
 			k1v, k0v := int(ns.nbrK1[i]), int(ns.nbrLen[i])-int(ns.nbrK1[i])
-			x0 += edgeCombine(p1u0, pv0, p110, k1, k0, k1v, k0v)
-			x1 += edgeCombine(p1u1, pv1, p111, k1, k0, k1v, k0v)
+			x0 += edgeCombine(lanes.p1u[0], lanes.p1v[0], lanes.p11[0], k1, k0, k1v, k0v)
+			x1 += edgeCombine(lanes.p1u[1], lanes.p1v[1], lanes.p11[1], k1, k0, k1v, k0v)
 		}
 		return x0, x1
 	}
-	for _, i := range ns.ownedIdx {
+	mk3 := uint64(j) | uint64(ns.p.M)<<8 | uint64(ns.p.B)<<16
+	// Probe the memo for every owned edge's neighbor marginal;
+	// collect the misses.
+	pend := ns.pendBuf[:0]
+	for ei, i := range ns.ownedIdx {
+		pv0, pv1, ok := margLoad(ns.memoStripe, ns.nbrPsi[i], ns.nbrCoins[i].Threshold(), prefix, mk3)
+		if ok {
+			ns.pvBuf[ei] = [2]float64{pv0, pv1}
+		} else {
+			pend = append(pend, int32(ei))
+		}
+	}
+	ns.pendBuf = pend
+	// Batch-fill the pending keys, one block call per sheet (edges
+	// of one sheet are contiguous in owned order). The computed
+	// pairs also land in pvBuf directly: memo entries are evictable,
+	// so the values must not be re-probed.
+	for s := 0; s < len(pend); {
+		e := s
+		sh := ns.edgeBlk[pend[s]].sheet
+		reqs := ns.blockReq[:0]
+		for e < len(pend) && ns.edgeBlk[pend[e]].sheet == sh {
+			reqs = append(reqs, ns.edgeBlk[pend[e]].cv)
+			e++
+		}
+		out := ns.pairBuf[:len(reqs)]
+		sb.ProbOnePairBlock(ns.sheets[sh], reqs, out)
+		for k := s; k < e; k++ {
+			ei := pend[k]
+			i := ns.ownedIdx[ei]
+			pr := out[k-s]
+			margStore(ns.memoStripe, ns.nbrPsi[i], ns.nbrCoins[i].Threshold(), prefix, mk3, pr.P0, pr.P1)
+			ns.pvBuf[ei] = [2]float64{pr.P0, pr.P1}
+		}
+		s = e
+	}
+	// Joint probabilities and the Lemma 2.2 terms, in owned order —
+	// the accumulation order of runPhaseRef.
+	for ei, i := range ns.ownedIdx {
+		eb := &ns.edgeBlk[ei]
+		pv0, pv1 := ns.pvBuf[ei][0], ns.pvBuf[ei][1]
+		p1u0, p110, p1u1, p111 := sb.EdgePairBlock(ns.sheets[eb.sheet], eb.cu, eb.cv, pv0, pv1)
 		k1v, k0v := int(ns.nbrK1[i]), int(ns.nbrLen[i])-int(ns.nbrK1[i])
-		if split && memoable {
-			// The neighbor's marginal is shared by every owner
-			// evaluating an edge into it at this seed bit; fetch it
-			// from the global memo of this pure function (the memo
-			// returns the bit-identical value a local walk computes).
-			cv := ns.nbrCoins[i]
-			mk3 := uint64(j) | uint64(ns.p.M)<<8 | uint64(ns.p.B)<<16
-			pv0, pv1, ok := margLoad(ns.memoStripe, ns.nbrPsi[i], cv.Threshold(), prefix, mk3)
-			if !ok {
-				pv0, pv1 = sb.ProbOnePair(cv)
-				margStore(ns.memoStripe, ns.nbrPsi[i], cv.Threshold(), prefix, mk3, pv0, pv1)
-			}
-			p1u0, p110, p1u1, p111 := sb.EdgePairGivenMarginal(myCoin, cv, pv0, pv1)
-			x0 += edgeCombine(p1u0, pv0, p110, k1, k0, k1v, k0v)
-			x1 += edgeCombine(p1u1, pv1, p111, k1, k0, k1v, k0v)
-			continue
-		}
-		if split {
-			e0, e1 := EdgeExpectationSplit(sb, myCoin, ns.nbrCoins[i], k1, k0, k1v, k0v)
-			x0 += e0
-			x1 += e1
-			continue
-		}
-		bs2 := basis.CloneInto(&ns.basisTmp)
-		if !bs2.FixBit(j, false) {
-			panic("core: seed bit re-fix inconsistent")
-		}
-		x0 += EdgeExpectation(bs2, myCoin, ns.nbrCoins[i], k1, k0, k1v, k0v)
-		bs2 = basis.CloneInto(&ns.basisTmp)
-		if !bs2.FixBit(j, true) {
-			panic("core: seed bit re-fix inconsistent")
-		}
-		x1 += EdgeExpectation(bs2, myCoin, ns.nbrCoins[i], k1, k0, k1v, k0v)
+		x0 += edgeCombine(p1u0, pv0, p110, k1, k0, k1v, k0v)
+		x1 += edgeCombine(p1u1, pv1, p111, k1, k0, k1v, k0v)
 	}
 	return x0, x1
 }

@@ -81,56 +81,70 @@ func disjointStarPath(t *testing.T) *graph.Graph {
 }
 
 // TestPhaseStepAllocFree is the allocs/op regression guard on the
-// steady-state phase computation: with warm per-node caches (forms
-// built, basis and scratch pooled, split bases recycled), evaluating a
-// seed bit's conditional expectations over a set of edges must not
-// allocate. Before the hot-path rework this step allocated hundreds of
-// objects (fresh forms, coins, and basis rows per edge per bit).
+// steady-state phase computation, one case per arm of evalPhaseBit:
+// the block arm (D ≤ 64) and the lane arm (D > 64, the HighAccuracy
+// parameters of a 3,901-node star). With warm per-node caches (forms
+// built, sheets and lane scratch reused, split bases pooled), a run of
+// seed bits — split, evaluate, fix, fold — must not allocate. Each run
+// moves the neighbor thresholds, so the block arm's marginal memo
+// misses and its batch fill runs too. Before the hot-path rework this
+// step allocated hundreds of objects (fresh forms, coins, and basis
+// rows per edge per bit).
 func TestPhaseStepAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops cached objects under -race; allocation counts are meaningless")
 	}
-	fam := gf2.MustFamily(12, 2)
-	const b = 9
-	// Cached forms, as nodeState keeps them across phases.
-	myForms := fam.OutputForms(5, b)
-	nbrForms := [][]gf2.Form{
-		fam.OutputForms(9, b),
-		fam.OutputForms(21, b),
-		fam.OutputForms(33, b),
-	}
-	basis := gf2.NewBasis()
-	basis.FixBit(0, true)
-	basis.FixBit(1, false)
-
-	myCoin, err := gf2.NewCoinFromForms(myForms, 3, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var nbrCoins []gf2.Coin
-	for i, fs := range nbrForms {
-		c, err := gf2.NewCoinFromForms(fs, uint64(2+i), 6)
+	for _, tc := range []struct {
+		name     string
+		n, delta int
+		c        uint32
+		opts     Options
+		lanes    bool
+	}{
+		{"block", 40, 24, 25, Options{}, false},
+		{"lanes", 3901, 3900, 1<<29 - 1, Options{HighAccuracy: true}, true},
+	} {
+		p, err := computeParamsFor(tc.n, tc.delta, tc.c, tc.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		nbrCoins = append(nbrCoins, c)
-	}
-
-	step := func() {
-		for j := 2; j < 10; j++ {
-			sb, ok := basis.Split(j)
-			if !ok {
-				t.Fatal("split refused")
-			}
-			for _, cv := range nbrCoins {
-				EdgeExpectationSplit(sb, myCoin, cv, 3, 4, 2, 4)
-			}
-			sb.Release()
+		if (p.D > 64) != tc.lanes {
+			t.Fatalf("%s: seed length D = %d selects the wrong arm", tc.name, p.D)
 		}
-	}
-	step() // warm the pools
-	if n := testing.AllocsPerRun(50, step); n > 0 {
-		t.Fatalf("steady-state phase step allocates %v objects per run, want 0", n)
+		ns := synthNode(t, p, 3, tc.n, 4)
+		var lanes *phaseLanes
+		if tc.lanes {
+			lanes = new(phaseLanes)
+		}
+		basis := gf2.NewBasis()
+		run := 0
+		step := func() {
+			run++
+			for i := range ns.ownedIdx {
+				ns.nbrLen[i] = uint64(4 + run)
+				ns.nbrCoins[i], _ = gf2.NewCoinFromForms(ns.neighborForms(i, ns.nbrPsi[i]), ns.nbrK1[i], ns.nbrLen[i])
+			}
+			basis.Reset()
+			ns.buildSheets(ns.phMyCoin)
+			var prefix uint64
+			for j := 0; j < 10; j++ {
+				sb := splitBit(basis, p.D, j)
+				x0, x1 := ns.evalPhaseBit(j, basis, sb, lanes, prefix)
+				if sb != nil {
+					sb.Release()
+				}
+				rj := x1 < x0
+				basis.FixBit(j, rj)
+				ns.foldSheets(j, rj)
+				if rj {
+					prefix |= uint64(1) << j
+				}
+			}
+		}
+		step() // warm the caches and pools
+		if n := testing.AllocsPerRun(20, step); n > 0 {
+			t.Fatalf("%s: steady-state phase step allocates %v objects per run, want 0", tc.name, n)
+		}
 	}
 }
 
@@ -146,12 +160,15 @@ func TestMarginalMemoPinsPureValues(t *testing.T) {
 	}
 	basis := gf2.NewBasis()
 	basis.FixBit(0, true)
-	sb, ok := basis.Split(1)
-	if !ok {
-		t.Fatal("split refused")
+	var p [2]float64
+	for beta := range p {
+		bs := basis.Clone()
+		if !bs.FixBit(1, beta == 1) {
+			t.Fatal("free bit re-fix failed")
+		}
+		p[beta] = coin.ProbOne(bs)
 	}
-	defer sb.Release()
-	p0, p1 := sb.ProbOnePair(coin)
+	p0, p1 := p[0], p[1]
 	const k3 = uint64(1) | 8<<8 | 6<<16
 	margStore(0, 13, coin.Threshold(), 1, k3, p0, p1)
 	g0, g1, hit := margLoad(0, 13, coin.Threshold(), 1, k3)

@@ -174,7 +174,7 @@ func computeParamsFor(n, delta int, c uint32, opts Options) (*Params, error) {
 
 // memoKeyFieldsOK reports whether M and B each fit the 8-bit field the
 // marginal-memo key word assigns them (seed bit j shares the word and is
-// bounded by D ≤ 64 on every memoable path).
+// bounded by D ≤ 64 on the block path, the memo's only user).
 func memoKeyFieldsOK(m, b int) bool {
 	return m >= 0 && m <= 255 && b >= 0 && b <= 255
 }
@@ -183,26 +183,14 @@ func memoKeyFieldsOK(m, b int) bool {
 // X_e = 1{e survives}·(1/|L_ℓ(u)|+1/|L_ℓ(v)|) exactly as in Lemma 2.2:
 // the edge survives iff both endpoints extend their prefix with the same
 // bit, and the surviving list sizes are k1 (bit 1) or k0 (bit 0).
-// Exported for the hot-path microbenchmarks (BenchmarkEdgeExpectation).
+// It is the reference path's edge term (runPhaseRef); the phase loop
+// combines the same probabilities through edgeCombine.
 //
-//sbw:allocfree Theorem 1.1 phase-step kernel: per-edge conditional expectation
+//sbw:allocfree Theorem 1.1 reference edge term: runPhaseRef, per edge per branch
 func EdgeExpectation(bs *gf2.Basis, cu, cv gf2.Coin, k1u, k0u, k1v, k0v int) float64 {
 	p1u, p11 := gf2.ProbOneAndBothOne(bs, cu, cv)
 	p1v := cv.ProbOne(bs)
 	return edgeCombine(p1u, p1v, p11, k1u, k0u, k1v, k0v)
-}
-
-// EdgeExpectationSplit returns EdgeExpectation under both branches of a
-// split seed bit in one mask-elimination pass (the "both β in one pass"
-// restructuring of the Lemma 2.6 inner loop): e0 conditions on bit=0,
-// e1 on bit=1. Bit-identical to two EdgeExpectation calls on bases with
-// the bit fixed.
-//
-//sbw:allocfree Theorem 1.1 phase-step kernel: both branches of one seed bit, the TestPhaseStepAllocFree loop body
-func EdgeExpectationSplit(sb *gf2.SplitBasis, cu, cv gf2.Coin, k1u, k0u, k1v, k0v int) (e0, e1 float64) {
-	p1u0, p1v0, p110, p1u1, p1v1, p111 := sb.EdgePair(cu, cv)
-	return edgeCombine(p1u0, p1v0, p110, k1u, k0u, k1v, k0v),
-		edgeCombine(p1u1, p1v1, p111, k1u, k0u, k1v, k0v)
 }
 
 // margMemo is a global memo of neighbor-marginal probabilities: the
@@ -294,8 +282,9 @@ func margStore(stripe int, k0, k1, k2, k3 uint64, p0, p1 float64) {
 }
 
 // edgeCombine assembles the Lemma 2.2 edge term from the three joint
-// coin probabilities (shared by the one-basis and split evaluations; the
-// expression and operation order are part of the bit-identity contract).
+// coin probabilities (shared by the reference, block and lane
+// evaluations; the expression and operation order are part of the
+// bit-identity contract).
 //
 //sbw:allocfree phase-step kernel: Lemma 2.2 edge term assembly
 func edgeCombine(p1u, p1v, p11 float64, k1u, k0u, k1v, k0v int) float64 {

@@ -11,7 +11,7 @@ import "math/bits"
 //     seed bit folded so far);
 //   - rhs is the branch-0 right-hand-side plane: bit l is lane l's
 //     residual constant, Const_l ⊕ ⟨folded bits of mask_l, their chosen
-//     values⟩ — exactly the bit-0 byte loReduce computes;
+//     values⟩;
 //   - bitp[b] is the transposed residual plane of seed bit b: bit l is
 //     set iff lane l's residual mask still contains b. Sealing a sheet
 //     builds the planes with one 64×64 bit-matrix transpose.
@@ -24,12 +24,11 @@ import "math/bits"
 // its branch-0 bit XOR its bitp[j] bit, which is how one word op
 // carries both β branches of the whole block.
 //
-// A sheet represents residuals against the *fixed bits* of a basis
-// only; the gather path re-applies any source rows (loRowReduce), so
-// block results stay bit-identical to the scalar loReduce path in
-// every case. Sheets hold whatever form groups the caller lays out —
-// the phase loop packs a node's own coin plus the coins of its owned
-// conflict edges' neighbors.
+// A sheet represents residuals against the *fixed bits* of a basis,
+// which is all a phase basis holds (Split refuses any other). Sheets
+// hold whatever form groups the caller lays out — the phase loop packs
+// a node's own coin plus the coins of its owned conflict edges'
+// neighbors.
 type FormSheet struct {
 	lane [64]uint64
 	bitp [64]uint64
@@ -83,8 +82,8 @@ func (s *FormSheet) Seal() {
 // Fix folds the choice "seed bit j = val" into every residual of the
 // sheet: one masked-XOR pass over the right-hand-side plane, and the
 // lanes still containing bit j drop it. After the fold the sheet's
-// residuals are exactly what loReduce would derive against a basis
-// with the same bits fixed to the same values.
+// residuals are exactly the forms reduced against a basis with the
+// same bits fixed to the same values.
 //
 //sbw:allocfree phase-step kernel: per-seed-bit incremental plane fold
 func (s *FormSheet) Fix(j int, val bool) {
@@ -134,33 +133,26 @@ type ProbPair struct {
 // gatherResid reads b residuals starting at lane from the sheet, under
 // this SplitBasis's split bit: the mask is the lane minus the split
 // bit, branch 0's right-hand side is the lane's rhs-plane bit, and
-// branch 1 differs by the lane's split-plane bit — the same bytes
-// loReduce packs. The sheet must have folded exactly this basis's
-// fixed bits; any source rows are re-applied here.
+// branch 1 differs by the lane's split-plane bit. The sheet must have
+// folded exactly the split basis's fixed bits.
 //
 //sbw:allocfree phase-step kernel: residual gather feeding the block walks
-func (sb *SplitBasis) gatherResid(sheet *FormSheet, lane, b int, out []loResid) {
+func (sb *SplitBasis) gatherResid(sheet *FormSheet, lane, b int, out []loRow) {
 	split := uint(bits.TrailingZeros64(sb.split.Lo))
-	haveRows := len(sb.rows) > 0
 	for i := 0; i < b; i++ {
 		l := uint(lane + i)
 		w := sheet.lane[l]
-		m := w &^ (uint64(1) << split)
 		r0 := uint8(sheet.rhs >> l & 1)
-		rhs := r0 | (r0^uint8(w>>split&1))<<1
-		if haveRows {
-			m, rhs = sb.loRowReduce(m, rhs)
-		}
-		out[i] = loResid{mask: m, rhs: rhs}
+		out[i] = loRow{mask: w &^ (uint64(1) << split), rhs: r0 | (r0^uint8(w>>split&1))<<1}
 	}
 }
 
-// ProbOnePairBlock is ProbOnePair over a block of coins laid out on a
-// sheet: out[k] receives both branch marginals of reqs[k]. The phase
-// loop uses it to fill every pending marginal-memo key of a band in
-// one call. Requires a low-word split (split bit < 64) and a sheet
-// folded in step with this basis; each result is bit-identical to
-// ProbOnePair on the coin.
+// ProbOnePairBlock returns Pr[C = 1] under both branches for a block of
+// coins laid out on a sheet: out[k] receives both branch marginals of
+// reqs[k]. The phase loop uses it to fill every pending marginal-memo
+// key of a band in one call. Requires a low-word split (split bit < 64)
+// and a sheet folded in step with the split basis; each result is
+// bit-identical to Coin.ProbOne on the basis with the split bit fixed.
 //
 //sbw:allocfree phase-step kernel: batched neighbor marginals, the memo batch-fill path
 func (sb *SplitBasis) ProbOnePairBlock(sheet *FormSheet, reqs []BlockCoin, out []ProbPair) {
@@ -181,12 +173,13 @@ func (sb *SplitBasis) ProbOnePairBlock(sheet *FormSheet, reqs []BlockCoin, out [
 	}
 }
 
-// EdgePairBlock is EdgePairGivenMarginal with both coins read from a
-// sheet: it returns C1's marginal and the joint probabilities under
-// both branches, with C2's marginal (pv0/pv1) supplied by the caller —
-// typically from the memo ProbOnePairBlock just filled. Preconditions
-// as for ProbOnePairBlock; results are bit-identical to the scalar
-// call on the same coins.
+// EdgePairBlock returns C1's marginal and the joint Pr[C1 = 1 ∧ C2 = 1]
+// under both branches, with both coins read from a sheet and C2's
+// marginal (pv0/pv1) supplied by the caller — typically from the memo
+// ProbOnePairBlock just filled; the C1 ≡ 1 boundary returns it as the
+// joint. Preconditions as for ProbOnePairBlock; results are
+// bit-identical to ProbOneAndBothOne on the basis with the split bit
+// fixed.
 //
 //sbw:allocfree phase-step kernel: batched joint edge probabilities
 func (sb *SplitBasis) EdgePairBlock(sheet *FormSheet, cu, cv BlockCoin, pv0, pv1 float64) (p1u0, p110, p1u1, p111 float64) {

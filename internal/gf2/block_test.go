@@ -105,7 +105,8 @@ func TestBlockKernelsAllocFree(t *testing.T) {
 // TestFormSheetBlockMatchesScalar drives the phase loop's exact kernel
 // sequence — seal a sheet of coin form groups, then per seed bit split,
 // evaluate, fix, fold — and pins every block result bitwise against the
-// scalar kernels on the same coins under the same basis.
+// Basis reference on the same coins: Clone + FixBit(j, β), then
+// Coin.ProbOne and ProbOneAndBothOne, once per branch β.
 func TestFormSheetBlockMatchesScalar(t *testing.T) {
 	src := prng.New(777)
 	for trial := 0; trial < 400; trial++ {
@@ -155,24 +156,33 @@ func TestFormSheetBlockMatchesScalar(t *testing.T) {
 			if !ok {
 				t.Fatalf("trial %d: Split(%d) refused on the phase basis", trial, j)
 			}
-			// Batched neighbor marginals vs the scalar walk.
+			// Reference: one Basis per branch, the split bit fixed.
+			var refs [2]*Basis
+			for beta := range refs {
+				refs[beta] = bs.Clone()
+				if !refs[beta].FixBit(j, beta == 1) {
+					t.Fatalf("trial %d: free bit %d re-fix failed", trial, j)
+				}
+			}
+			// Batched neighbor marginals vs the reference.
 			for i := 0; i < nNbr; i++ {
 				reqs[i] = bc(1 + i)
 			}
 			sb.ProbOnePairBlock(&sheet, reqs, out)
 			for i := 0; i < nNbr; i++ {
-				w0, w1 := sb.ProbOnePair(coins[1+i])
+				w0, w1 := coins[1+i].ProbOne(refs[0]), coins[1+i].ProbOne(refs[1])
 				if out[i].P0 != w0 || out[i].P1 != w1 {
-					t.Fatalf("trial %d bit %d nbr %d: ProbOnePairBlock (%v %v), scalar (%v %v)",
+					t.Fatalf("trial %d bit %d nbr %d: ProbOnePairBlock (%v %v), reference (%v %v)",
 						trial, j, i, out[i].P0, out[i].P1, w0, w1)
 				}
 			}
-			// Batched joint probabilities vs the scalar walk.
+			// Batched joint probabilities vs the reference.
 			for i := 0; i < nNbr; i++ {
 				g1u0, g110, g1u1, g111 := sb.EdgePairBlock(&sheet, bc(0), bc(1+i), out[i].P0, out[i].P1)
-				w1u0, w110, w1u1, w111 := sb.EdgePairGivenMarginal(coins[0], coins[1+i], out[i].P0, out[i].P1)
+				w1u0, w110 := ProbOneAndBothOne(refs[0], coins[0], coins[1+i])
+				w1u1, w111 := ProbOneAndBothOne(refs[1], coins[0], coins[1+i])
 				if g1u0 != w1u0 || g110 != w110 || g1u1 != w1u1 || g111 != w111 {
-					t.Fatalf("trial %d bit %d nbr %d: EdgePairBlock (%v %v | %v %v), scalar (%v %v | %v %v)",
+					t.Fatalf("trial %d bit %d nbr %d: EdgePairBlock (%v %v | %v %v), reference (%v %v | %v %v)",
 						trial, j, i, g1u0, g110, g1u1, g111, w1u0, w110, w1u1, w111)
 				}
 			}

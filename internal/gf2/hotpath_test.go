@@ -204,26 +204,32 @@ func (nb *naiveBasis) probLess(forms []Form, t uint64) float64 {
 	return prob
 }
 
-// TestSplitMatchesFixedBit: Split + the pair queries must reproduce the
-// two-pass Clone+FixBit evaluation bit for bit, across random bases,
-// coins, and split bits — including the EdgePair / EdgePairGivenMarginal
-// fused forms.
+// TestSplitMatchesFixedBit: the production kernels of each seed length
+// must reproduce the two-pass Clone+FixBit evaluation bit for bit,
+// across random bases of fixed bits, coins, and split bits. Seed length
+// D ≤ 64 runs the phase loop's block arm (a sheet folded with the fixed
+// bits, Split, ProbOnePairBlock, EdgePairBlock); D > 64 runs its lane
+// arm (a one-bit LaneBasis segment, ProbOne and ProbBothOne).
 func TestSplitMatchesFixedBit(t *testing.T) {
 	src := prng.New(99)
+	var lb LaneBasis
+	var lp1v, lp1u, lp11 [64]float64
 	for trial := 0; trial < 600; trial++ {
 		m := 3 + src.Intn(3)
 		if trial%5 == 0 {
 			// Seed length 2m > 64: forms carry high-word masks, driving
-			// the generic two-word SplitBasis arm instead of the lo paths.
+			// the lane arm instead of the block kernels.
 			m = 33 + src.Intn(4)
 		}
 		fam := MustFamily(m, 2)
 		d := fam.SeedBits()
 		order := fam.Field().Order()
 		bs := NewBasis()
+		var fixed []int
 		for i := 0; i < d; i++ {
 			if src.Intn(3) == 0 {
 				bs.FixBit(i, src.Bool())
+				fixed = append(fixed, i)
 			}
 		}
 		var free []int
@@ -261,47 +267,67 @@ func TestSplitMatchesFixedBit(t *testing.T) {
 			want[beta][2] = ProbBothOne(w, c1, c2)
 		}
 
-		sb, ok := bs.Split(bit)
-		if !ok {
-			t.Fatalf("trial %d: Split(%d) refused on a free bit", trial, bit)
+		var got [2][3]float64
+		if d > 64 {
+			if err := lb.Reset(bs, bit, 1); err != nil {
+				t.Fatalf("trial %d: lane Reset on free bit %d: %v", trial, bit, err)
+			}
+			lb.ProbOne(c2, &lp1v)
+			lb.ProbBothOne(c1, c2, &lp1u, &lp11)
+			for beta := range got {
+				got[beta] = [3]float64{lp1u[beta], lp1v[beta], lp11[beta]}
+			}
+		} else {
+			var sheet FormSheet
+			lu, oku := sheet.AddForms(c1.forms)
+			lv, okv := sheet.AddForms(c2.forms)
+			if !oku || !okv {
+				t.Fatalf("trial %d: AddForms refused %d-form coins", trial, b)
+			}
+			sheet.Seal()
+			for _, i := range fixed {
+				sheet.Fix(i, bs.fixedVals.Bit(i))
+			}
+			sb, ok := bs.Split(bit)
+			if !ok {
+				t.Fatalf("trial %d: Split(%d) refused on a free bit", trial, bit)
+			}
+			cu := BlockCoin{Lane: lu, B: c1.Bits(), T: c1.Threshold()}
+			cv := BlockCoin{Lane: lv, B: c2.Bits(), T: c2.Threshold()}
+			var pv [1]ProbPair
+			sb.ProbOnePairBlock(&sheet, []BlockCoin{cv}, pv[:])
+			p1u0, p110, p1u1, p111 := sb.EdgePairBlock(&sheet, cu, cv, pv[0].P0, pv[0].P1)
+			sb.Release()
+			got = [2][3]float64{{p1u0, pv[0].P0, p110}, {p1u1, pv[0].P1, p111}}
 		}
-		p1u0, p1v0, p110, p1u1, p1v1, p111 := sb.EdgePair(c1, c2)
-		if p1u0 != want[0][0] || p1v0 != want[0][1] || p110 != want[0][2] ||
-			p1u1 != want[1][0] || p1v1 != want[1][1] || p111 != want[1][2] {
-			t.Fatalf("trial %d (bit %d): EdgePair (%v %v %v | %v %v %v), want (%v %v %v | %v %v %v)",
-				trial, bit, p1u0, p1v0, p110, p1u1, p1v1, p111,
-				want[0][0], want[0][1], want[0][2], want[1][0], want[1][1], want[1][2])
+		if got != want {
+			t.Fatalf("trial %d (D=%d, bit %d): kernels (p1u, p1v, p11) per branch %v, want %v",
+				trial, d, bit, got, want)
 		}
-		q0, q1 := sb.ProbOnePair(c2)
-		if q0 != want[0][1] || q1 != want[1][1] {
-			t.Fatalf("trial %d: ProbOnePair (%v %v), want (%v %v)", trial, q0, q1, want[0][1], want[1][1])
-		}
-		ju0, j110, ju1, j111 := sb.EdgePairGivenMarginal(c1, c2, q0, q1)
-		if ju0 != want[0][0] || j110 != want[0][2] || ju1 != want[1][0] || j111 != want[1][2] {
-			t.Fatalf("trial %d: EdgePairGivenMarginal (%v %v | %v %v), want (%v %v | %v %v)",
-				trial, ju0, j110, ju1, j111, want[0][0], want[0][2], want[1][0], want[1][2])
-		}
-		sb.Release()
 	}
 }
 
 // TestSplitRefusesTouchedBit: Split must refuse a bit the basis already
-// constrains.
+// fixes, and any basis with general rows (phase bases hold fixed bits
+// only, which is all a sheet can fold).
 func TestSplitRefusesTouchedBit(t *testing.T) {
 	bs := NewBasis()
 	bs.FixBit(3, true)
 	if _, ok := bs.Split(3); ok {
 		t.Fatal("Split accepted an already-fixed bit")
 	}
+	if sb, ok := bs.Split(7); !ok {
+		t.Fatal("Split refused an untouched bit")
+	} else {
+		sb.Release()
+	}
 	bs2 := NewBasis()
 	bs2.Add(Form{Mask: UnitVec(1).Xor(UnitVec(5))}, true)
 	if _, ok := bs2.Split(5); ok {
 		t.Fatal("Split accepted a bit present in a row")
 	}
-	if sb, ok := bs2.Split(7); !ok {
-		t.Fatal("Split refused an untouched bit")
-	} else {
-		sb.Release()
+	if _, ok := bs2.Split(7); ok {
+		t.Fatal("Split accepted a basis with a general row")
 	}
 }
 

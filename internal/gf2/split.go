@@ -16,49 +16,34 @@ import (
 // performed, the Independent/zero-residual classification, and therefore
 // every 2^−rank conditional factor — is identical for the two branches.
 // Only the affine right-hand sides diverge, by the parity of the split
-// bit's occurrences in the reduction. SplitBasis therefore stores one
-// shared mask structure and carries an rhs *pair* per constraint,
-// evaluating both branches with the mask work of one.
+// bit's occurrences in the reduction. The walks therefore carry one
+// shared mask per constraint and a right-hand-side *pair* packed in a
+// byte, evaluating both branches with the mask work of one.
 //
-// Each branch's classifications, accumulated terms, and term order are
-// exactly those of evaluating the branch alone on a Basis with the bit
-// fixed, so all results are bit-identical to the two-pass evaluation
-// (which the differential tests pin).
+// The queries are the block kernels (block.go): they read residuals
+// from a FormSheet folded with the basis's fixed bits, so a SplitBasis
+// holds only the split bit and the walk scratch. Each branch's
+// classifications, accumulated terms, and term order are exactly those
+// of evaluating the branch alone on a Basis with the bit fixed, so all
+// results are bit-identical to the two-pass evaluation
+// (TestFormSheetBlockMatchesScalar, TestSplitMatchesFixedBit).
 type SplitBasis struct {
-	fixedMask Vec128 // fixed bits of the source basis plus the split bit
-	fixedVals Vec128 // branch-0 values; branch 1 differs exactly at split
-	split     Vec128 // unit vector at the split bit
-	rows      []splitRow
-	// hiRows: some row mask has bits ≥ 64 (conservative; false enables
-	// the single-word reduction path for low-word forms).
-	hiRows bool
+	split Vec128 // unit vector at the split bit
 
-	// EdgePair walk scratch, pooled with the basis so the hot loop never
-	// zero-initializes stack arrays (b ≤ m ≤ 63 bounds every index).
-	res    [64]residPair
-	fuRows [64]splitRow
-	inner  [64]splitRow
-
-	// Single-word EdgePair scratch (see loEdgePair). resLoU holds C1's
-	// residuals for the joint walks, so C2's residuals in resLo survive
-	// the walk; the block kernels gather sheet residuals into the same
-	// two arrays.
-	resLo   [64]loResid
-	resLoU  [64]loResid
+	// Walk scratch, pooled with the basis so the hot loop never
+	// zero-initializes stack arrays (b ≤ m ≤ 32 bounds every index).
+	// resLoU holds C1's residuals for the joint walks, so C2's residuals
+	// in resLo survive the walk.
+	resLo   [64]loRow
+	resLoU  [64]loRow
 	fuLo    loRows
 	innerLo loRows
 }
 
-// loRow / loResid are the compact single-word forms of splitRow /
-// residPair used by loEdgePair when every mask fits the low word: the
-// two branch right-hand sides pack into one byte (bit 0 = branch 0,
-// bit 1 = branch 1), so a row elimination is two XORs.
+// loRow is a single-word row or residual of the walks: the two branch
+// right-hand sides pack into one byte (bit 0 = branch 0, bit 1 =
+// branch 1), so a row elimination is two XORs.
 type loRow struct {
-	mask uint64
-	rhs  uint8
-}
-
-type loResid struct {
 	mask uint64
 	rhs  uint8
 }
@@ -105,473 +90,50 @@ func (st *loRows) add(m uint64, rhs uint8) {
 	st.n++
 }
 
-type splitRow struct {
-	mask Vec128
-	piv  Vec128 // unit vector at the pivot (lowest set bit of mask)
-	rhs0 bool   // right-hand side under branch 0 (split bit = 0)
-	rhs1 bool   // right-hand side under branch 1 (split bit = 1)
-}
-
 var splitPool = sync.Pool{New: func() any { return new(SplitBasis) }}
 
 // Split conditions the basis on seed bit `bit` symbolically, returning a
 // SplitBasis whose branch 0 is "basis ∧ bit=0" and branch 1 is
-// "basis ∧ bit=1". It requires the bit to be untouched by the basis —
-// not fixed and absent from every row — which is exactly the state of
-// the conditional-expectation loop's candidate bit (bits are examined in
-// order and only earlier ones are fixed); ok reports whether that held.
-// Release the result with Release when done.
+// "basis ∧ bit=1". It requires a basis of fixed bits only, with the bit
+// among the free ones — exactly the state of the conditional-expectation
+// loop's candidate bit (bits are examined in order and only earlier ones
+// are fixed); ok reports whether that held. Release the result with
+// Release when done.
 //
 //sbw:allocfree Theorem 1.1 phase-step kernel: one Split per seed bit per node per phase
 func (bs *Basis) Split(bit int) (sb *SplitBasis, ok bool) {
 	u := UnitVec(bit)
-	if !bs.fixedMask.And(u).IsZero() {
+	if len(bs.rows) > 0 || !bs.fixedMask.And(u).IsZero() {
 		return nil, false
 	}
-	for i := range bs.rows {
-		if !bs.rows[i].mask.And(u).IsZero() {
-			return nil, false
-		}
-	}
 	sb = splitPool.Get().(*SplitBasis)
-	sb.fixedMask = bs.fixedMask.Xor(u)
-	sb.fixedVals = bs.fixedVals // branch 0: split bit = 0
 	sb.split = u
-	sb.rows = sb.rows[:0]
-	sb.hiRows = bs.hiRows
-	for i := range bs.rows {
-		r := &bs.rows[i]
-		sb.rows = append(sb.rows, splitRow{mask: r.mask, piv: UnitVec(r.pivot), rhs0: r.rhs, rhs1: r.rhs}) //sbw:allocok amortized: sb comes from splitPool with its row capacity retained; TestPhaseStepAllocFree pins the steady state at 0 allocs
-	}
 	return sb, true
 }
 
 // Release returns the SplitBasis (and its scratch) to the pool.
 func (sb *SplitBasis) Release() { splitPool.Put(sb) }
 
-//sbw:allocfree phase-step kernel: clone target comes from the split pool
-func (sb *SplitBasis) cloneInto(dst *SplitBasis) *SplitBasis {
-	dst.fixedMask = sb.fixedMask
-	dst.fixedVals = sb.fixedVals
-	dst.split = sb.split
-	dst.rows = append(dst.rows[:0], sb.rows...) //sbw:allocok amortized: dst comes from splitPool with its row capacity retained
-	dst.hiRows = sb.hiRows
-	return dst
-}
-
 // Clone returns a pooled copy of the split basis: the same conditioning
 // with its own walk scratch, so several goroutines can evaluate queries
 // against one split concurrently, one copy each. Release it when done.
+//
+//sbw:allocfree phase-step kernel: clone target comes from the split pool
 func (sb *SplitBasis) Clone() *SplitBasis {
-	return sb.cloneInto(splitPool.Get().(*SplitBasis))
+	dst := splitPool.Get().(*SplitBasis)
+	dst.split = sb.split
+	return dst
 }
 
-// reduce eliminates the stored constraints from the form (mask, c),
-// returning the shared residual mask and the branch right-hand sides of
-// the event "form = false".
-//
-//sbw:allocfree phase-step kernel: per-form residual reduction, innermost loop
-func (sb *SplitBasis) reduce(mask Vec128, c bool) (Vec128, bool, bool) {
-	rhs0, rhs1 := c, c
-	if mask.Hi == 0 && !sb.hiRows {
-		lo := mask.Lo
-		if f := lo & sb.fixedMask.Lo; f != 0 {
-			rhs0 = rhs0 != (bits.OnesCount64(f&sb.fixedVals.Lo)&1 == 1)
-			rhs1 = rhs0 != (f&sb.split.Lo != 0)
-			lo &^= sb.fixedMask.Lo
-		} else {
-			rhs1 = rhs0
-		}
-		for i := range sb.rows {
-			r := &sb.rows[i]
-			if lo&r.piv.Lo != 0 {
-				lo ^= r.mask.Lo
-				rhs0 = rhs0 != r.rhs0
-				rhs1 = rhs1 != r.rhs1
-			}
-		}
-		return Vec128{Lo: lo}, rhs0, rhs1
-	}
-	if f := mask.And(sb.fixedMask); !f.IsZero() {
-		rhs0 = rhs0 != f.And(sb.fixedVals).Parity()
-		rhs1 = rhs0 != !f.And(sb.split).IsZero() // branches differ by the split bit's presence
-		mask = mask.AndNot(sb.fixedMask)
-	}
-	for i := range sb.rows {
-		r := &sb.rows[i]
-		if !mask.And(r.piv).IsZero() {
-			mask = mask.Xor(r.mask)
-			rhs0 = rhs0 != r.rhs0
-			rhs1 = rhs1 != r.rhs1
-		}
-	}
-	return mask, rhs0, rhs1
-}
-
-// addReduced inserts the pre-reduced residual of "form = val" and
-// returns each branch's AddResult. Independence is mask-determined and
-// thus shared; a zero residual classifies per branch.
-//
-//sbw:allocfree phase-step kernel: row insertion on the pooled walk basis
-func (sb *SplitBasis) addReduced(mask Vec128, rhs0, rhs1, val bool) (AddResult, AddResult) {
-	rhs0 = rhs0 != val
-	rhs1 = rhs1 != val
-	if mask.IsZero() {
-		a0, a1 := Redundant, Redundant
-		if rhs0 {
-			a0 = Inconsistent
-		}
-		if rhs1 {
-			a1 = Inconsistent
-		}
-		return a0, a1
-	}
-	sb.rows = append(sb.rows, splitRow{mask: mask, piv: UnitVec(mask.LowestBit()), rhs0: rhs0, rhs1: rhs1}) //sbw:allocok amortized: pooled walk basis retains row capacity across evaluations
-	if mask.Hi != 0 {
-		sb.hiRows = true
-	}
-	return Independent, Independent
-}
-
-// probLessPairInPlace is the dual-branch ProbLess walk on a SplitBasis
-// the caller owns: it returns Pr[val(forms) < t] for branch 0 and
-// branch 1, accumulating a branch's terms only while that branch's
-// constraint system stays consistent (alive0/alive1 seed the flags for
-// callers whose branch already died upstream; a dead branch's
-// accumulator returns 0). The walk keeps adding the shared mask rows
-// after a single branch dies — the survivor still needs them.
-//
-//sbw:allocfree phase-step kernel: dual-branch ProbLess walk on a pooled basis
-func probLessPairInPlace(w *SplitBasis, forms []Form, t uint64, alive0, alive1 bool) (p0, p1 float64) {
-	b := len(forms)
-	if t == 0 {
-		return 0, 0
-	}
-	if t >= uint64(1)<<b {
-		p0, p1 = 0, 0
-		if alive0 {
-			p0 = 1
-		}
-		if alive1 {
-			p1 = 1
-		}
-		return p0, p1
-	}
-	condProb := 1.0
-	for idx, fo := range forms {
-		bitPos := b - 1 - idx
-		tj := t&(1<<bitPos) != 0
-		mask, rhs0, rhs1 := w.reduce(fo.Mask, fo.Const)
-		if tj {
-			if mask.IsZero() {
-				if alive0 && !rhs0 {
-					p0 += condProb
-				}
-				if alive1 && !rhs1 {
-					p1 += condProb
-				}
-			} else {
-				half := condProb * 0.5
-				if alive0 {
-					p0 += half
-				}
-				if alive1 {
-					p1 += half
-				}
-			}
-		}
-		a0, a1 := w.addReduced(mask, rhs0, rhs1, tj)
-		if a0 == Independent {
-			condProb *= 0.5 // shared: independence is mask-determined
-		}
-		if a0 == Inconsistent {
-			alive0 = false
-		}
-		if a1 == Inconsistent {
-			alive1 = false
-		}
-		if !alive0 && !alive1 {
-			return p0, p1
-		}
-	}
-	return p0, p1
-}
-
-// residPair is one form's residual against a SplitBasis plus any rows a
-// walk has layered on top: the shared mask and the per-branch right-hand
-// sides of the event "form = false".
-type residPair struct {
-	mask Vec128
-	rhs0 bool
-	rhs1 bool
-}
-
-// residual reduces a form against the conditioned basis only (fixed
-// bits and source rows) — the part shared by every walk of one edge
-// evaluation.
-//
-//sbw:allocfree phase-step kernel: shared residual of one edge evaluation
-func (sb *SplitBasis) residual(fo Form) residPair {
-	mask, rhs0, rhs1 := sb.reduce(fo.Mask, fo.Const)
-	return residPair{mask: mask, rhs0: rhs0, rhs1: rhs1}
-}
-
-// innerPairWalk is the dual-branch ProbLess walk over precomputed
+// loInnerWalk is the dual-branch ProbLess walk over precomputed
 // residuals: res[i] is forms[i] reduced against everything below this
 // walk (the conditioned basis and, for the joint query, the outer
-// walk's accumulated prefix rows), and atom, when non-nil, is one
-// additional constraint row ordered before the walk's own rows. Rows
-// live in a stack array, so an inner walk allocates nothing and rescans
-// only the constraints that are actually new — the residuals already
-// absorbed the outer context. Classifications, terms, and order are
-// exactly those of probLessPairInPlace on an equivalent SplitBasis.
-//
-//sbw:allocfree phase-step kernel: stack-array walk, the hottest loop of the derandomization
-func innerPairWalk(rows *[64]splitRow, res []residPair, t uint64, atom *splitRow, alive0, alive1 bool) (p0, p1 float64) {
-	b := len(res)
-	if t == 0 {
-		return 0, 0
-	}
-	if t >= uint64(1)<<b {
-		if alive0 {
-			p0 = 1
-		}
-		if alive1 {
-			p1 = 1
-		}
-		return p0, p1
-	}
-	n := 0
-	condProb := 1.0
-	for idx := 0; idx < b; idx++ {
-		r := res[idx]
-		if atom != nil && !r.mask.And(atom.piv).IsZero() {
-			r.mask = r.mask.Xor(atom.mask)
-			r.rhs0 = r.rhs0 != atom.rhs0
-			r.rhs1 = r.rhs1 != atom.rhs1
-		}
-		for k := 0; k < n; k++ {
-			w := &rows[k]
-			if !r.mask.And(w.piv).IsZero() {
-				r.mask = r.mask.Xor(w.mask)
-				r.rhs0 = r.rhs0 != w.rhs0
-				r.rhs1 = r.rhs1 != w.rhs1
-			}
-		}
-		tj := t&(1<<(b-1-idx)) != 0
-		if tj {
-			if r.mask.IsZero() {
-				if alive0 && !r.rhs0 {
-					p0 += condProb
-				}
-				if alive1 && !r.rhs1 {
-					p1 += condProb
-				}
-			} else {
-				half := condProb * 0.5
-				if alive0 {
-					p0 += half
-				}
-				if alive1 {
-					p1 += half
-				}
-			}
-		}
-		// Continue branch: prefix bit equals tj.
-		rr0, rr1 := r.rhs0 != tj, r.rhs1 != tj
-		if r.mask.IsZero() {
-			if rr0 {
-				alive0 = false
-			}
-			if rr1 {
-				alive1 = false
-			}
-			if !alive0 && !alive1 {
-				return p0, p1
-			}
-		} else {
-			rows[n] = splitRow{mask: r.mask, piv: UnitVec(r.mask.LowestBit()), rhs0: rr0, rhs1: rr1}
-			n++
-			condProb *= 0.5
-		}
-	}
-	return p0, p1
-}
-
-// EdgePair returns the six probabilities the Lemma 2.6 edge term needs —
-// Pr[C1=1], Pr[C2=1], and Pr[C1=1 ∧ C2=1], each under branch 0 and
-// branch 1 — in one pass: C2's residuals against the conditioned basis
-// are computed once and shared by its marginal walk and by every inner
-// walk of the joint query (updated incrementally as the outer walk adds
-// prefix rows), and all walk rows live on the stack. Every output is
-// bit-identical to the corresponding single-query evaluations
-// (ProbOnePair, and ProbBothLessMarginal on a conditioned Basis).
-//
-//sbw:allocfree phase-step kernel: six edge probabilities per owned edge per seed bit
-func (sb *SplitBasis) EdgePair(c1, c2 Coin) (p1u0, p1v0, p110, p1u1, p1v1, p111 float64) {
-	fu, tu, fv, tv := c1.forms, c1.t, c2.forms, c2.t
-	if !sb.hiRows && c1.lo && c2.lo {
-		return sb.loEdgePair(fu, tu, fv, tv)
-	}
-	bu, bv := len(fu), len(fv)
-
-	res := sb.res[:bv]
-	fvWalkable := tv > 0 && tv < uint64(1)<<bv
-	if fvWalkable {
-		for i, fo := range fv {
-			res[i] = sb.residual(fo)
-		}
-		p1v0, p1v1 = innerPairWalk(&sb.inner, res, tv, nil, true, true)
-	} else if tv != 0 {
-		p1v0, p1v1 = 1, 1
-	}
-
-	if tu == 0 {
-		return 0, p1v0, 0, 0, p1v1, 0
-	}
-	if tu >= uint64(1)<<bu {
-		// C1 always 1: the joint walk degenerates to C2's marginal.
-		return 1, p1v0, p1v0, 1, p1v1, p1v1
-	}
-	if tv == 0 {
-		p1u0, p1u1 = sb.probLessPairClone(fu, tu)
-		return p1u0, 0, 0, p1u1, 0, 0
-	}
-
-	// Joint walk over C1's threshold decomposition, residuals of C2
-	// updated in step with the accumulated prefix rows.
-	fuRows := &sb.fuRows
-	nfu := 0
-	alive0, alive1 := true, true
-	condProb := 1.0
-	for idx, fo := range fu {
-		mask, rhs0, rhs1 := sb.reduce(fo.Mask, fo.Const)
-		for k := 0; k < nfu; k++ {
-			w := &fuRows[k]
-			if !mask.And(w.piv).IsZero() {
-				mask = mask.Xor(w.mask)
-				rhs0 = rhs0 != w.rhs0
-				rhs1 = rhs1 != w.rhs1
-			}
-		}
-		tj := tu&(1<<(bu-1-idx)) != 0
-		if tj {
-			if mask.IsZero() {
-				e0 := alive0 && !rhs0
-				e1 := alive1 && !rhs1
-				if e0 || e1 {
-					q0, q1 := innerPairWalk(&sb.inner, res, tv, nil, e0, e1)
-					if e0 {
-						p1u0 += condProb
-						p110 += condProb * q0
-					}
-					if e1 {
-						p1u1 += condProb
-						p111 += condProb * q1
-					}
-				}
-			} else {
-				half := condProb * 0.5
-				atom := splitRow{mask: mask, piv: UnitVec(mask.LowestBit()), rhs0: rhs0, rhs1: rhs1}
-				q0, q1 := innerPairWalk(&sb.inner, res, tv, &atom, alive0, alive1)
-				if alive0 {
-					p1u0 += half
-					p110 += half * q0
-				}
-				if alive1 {
-					p1u1 += half
-					p111 += half * q1
-				}
-			}
-		}
-		// Continue branch: prefix bit equals tj.
-		rr0, rr1 := rhs0 != tj, rhs1 != tj
-		if mask.IsZero() {
-			if rr0 {
-				alive0 = false
-			}
-			if rr1 {
-				alive1 = false
-			}
-			if !alive0 && !alive1 {
-				return p1u0, p1v0, p110, p1u1, p1v1, p111
-			}
-		} else {
-			row := splitRow{mask: mask, piv: UnitVec(mask.LowestBit()), rhs0: rr0, rhs1: rr1}
-			fuRows[nfu] = row
-			nfu++
-			condProb *= 0.5
-			if fvWalkable {
-				for i := 0; i < bv; i++ {
-					if !res[i].mask.And(row.piv).IsZero() {
-						res[i].mask = res[i].mask.Xor(row.mask)
-						res[i].rhs0 = res[i].rhs0 != row.rhs0
-						res[i].rhs1 = res[i].rhs1 != row.rhs1
-					}
-				}
-			}
-		}
-	}
-	return p1u0, p1v0, p110, p1u1, p1v1, p111
-}
-
-// formsLo reports whether every form's mask fits the low word.
-func formsLo(fs []Form) bool {
-	for i := range fs {
-		if fs[i].Mask.Hi != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// loReduce is the single-word residual of a form against the
-// conditioned basis: mask must fit the low word and no row may have
-// high bits. The returned byte packs the branch right-hand sides of
-// "form = false" (bit 0 = branch 0, bit 1 = branch 1).
-func (sb *SplitBasis) loReduce(mask uint64, c bool) (uint64, uint8) {
-	var rhs uint8
-	if c {
-		rhs = 3
-	}
-	if f := mask & sb.fixedMask.Lo; f != 0 {
-		if bits.OnesCount64(f&sb.fixedVals.Lo)&1 == 1 {
-			rhs ^= 3
-		}
-		if f&sb.split.Lo != 0 {
-			rhs ^= 2
-		}
-		mask &^= sb.fixedMask.Lo
-	}
-	return sb.loRowReduce(mask, rhs)
-}
-
-// loRowReduce eliminates the source basis rows from an already
-// fixed-bit-reduced residual — the row half of loReduce, shared with
-// the sheet gather path (whose planes fold the fixed bits but cannot
-// know the rows).
-func (sb *SplitBasis) loRowReduce(mask uint64, rhs uint8) (uint64, uint8) {
-	for i := range sb.rows {
-		r := &sb.rows[i]
-		if mask&r.piv.Lo != 0 {
-			mask ^= r.mask.Lo
-			if r.rhs0 {
-				rhs ^= 1
-			}
-			if r.rhs1 {
-				rhs ^= 2
-			}
-		}
-	}
-	return mask, rhs
-}
-
-// loInnerWalk is innerPairWalk on the compact single-word rows: alive
-// packs the branch liveness the same way the rhs bytes pack the
-// right-hand sides. atom, when hasAtom, is one fully reduced constraint
-// seeding the system. The accumulated terms and their order are
-// identical to the two-word walk.
-func loInnerWalk(st *loRows, res []loResid, t uint64, atomMask uint64, atomRhs uint8, hasAtom bool, alive uint8) (p0, p1 float64) {
+// walk's accumulated prefix rows). alive packs the branch liveness the
+// same way the rhs bytes pack the right-hand sides. atom, when hasAtom,
+// is one fully reduced constraint seeding the system. A branch's terms
+// and their order are those of ProbLess on the basis with the split bit
+// fixed to the branch's value.
+func loInnerWalk(st *loRows, res []loRow, t uint64, atomMask uint64, atomRhs uint8, hasAtom bool, alive uint8) (p0, p1 float64) {
 	b := len(res)
 	if t == 0 {
 		return 0, 0
@@ -629,96 +191,16 @@ func loInnerWalk(st *loRows, res []loResid, t uint64, atomMask uint64, atomRhs u
 	return p0, p1
 }
 
-// loEdgePair is EdgePair on the compact single-word representation —
-// the steady state of every practical parameterization (seed length
-// k·m ≤ 64). Walk for walk and term for term it mirrors the generic
-// path, so results are bit-identical.
-func (sb *SplitBasis) loEdgePair(fu []Form, tu uint64, fv []Form, tv uint64) (p1u0, p1v0, p110, p1u1, p1v1, p111 float64) {
-	bu, bv := len(fu), len(fv)
-	res := sb.resLo[:bv]
-	fvWalkable := tv > 0 && tv < uint64(1)<<bv
-	if fvWalkable {
-		for i, fo := range fv {
-			m, rhs := sb.loReduce(fo.Mask.Lo, fo.Const)
-			res[i] = loResid{mask: m, rhs: rhs}
-		}
-		p1v0, p1v1 = loInnerWalk(&sb.innerLo, res, tv, 0, 0, false, 3)
-	} else if tv != 0 {
-		p1v0, p1v1 = 1, 1
-	}
-
-	if tu == 0 {
-		return 0, p1v0, 0, 0, p1v1, 0
-	}
-	if tu >= uint64(1)<<bu {
-		// C1 always 1: the joint walk degenerates to C2's marginal.
-		return 1, p1v0, p1v0, 1, p1v1, p1v1
-	}
-	if tv == 0 {
-		resU := sb.resLo[:bu]
-		for i, fo := range fu {
-			m, rhs := sb.loReduce(fo.Mask.Lo, fo.Const)
-			resU[i] = loResid{mask: m, rhs: rhs}
-		}
-		p1u0, p1u1 = loInnerWalk(&sb.innerLo, resU, tu, 0, 0, false, 3)
-		return p1u0, 0, 0, p1u1, 0, 0
-	}
-
-	p1u0, p110, p1u1, p111 = sb.loJointWalk(fu, tu, res, tv, fvWalkable)
-	return p1u0, p1v0, p110, p1u1, p1v1, p111
-}
-
-// loJointPair is loEdgePair minus C2's marginal walk, for callers that
-// already hold the marginal (pv0/pv1, used only by the tu ≥ 2^b
-// boundary, where the joint equals it).
-func (sb *SplitBasis) loJointPair(fu []Form, tu uint64, fv []Form, tv uint64, pv0, pv1 float64) (p1u0, p110, p1u1, p111 float64) {
-	bu, bv := len(fu), len(fv)
-	if tu == 0 {
-		return 0, 0, 0, 0
-	}
-	if tu >= uint64(1)<<bu {
-		return 1, pv0, 1, pv1
-	}
-	if tv == 0 {
-		resU := sb.resLo[:bu]
-		for i, fo := range fu {
-			m, rhs := sb.loReduce(fo.Mask.Lo, fo.Const)
-			resU[i] = loResid{mask: m, rhs: rhs}
-		}
-		p1u0, p1u1 = loInnerWalk(&sb.innerLo, resU, tu, 0, 0, false, 3)
-		return p1u0, 0, p1u1, 0
-	}
-	res := sb.resLo[:bv]
-	fvWalkable := tv < uint64(1)<<bv
-	if fvWalkable {
-		for i, fo := range fv {
-			m, rhs := sb.loReduce(fo.Mask.Lo, fo.Const)
-			res[i] = loResid{mask: m, rhs: rhs}
-		}
-	}
-	return sb.loJointWalk(fu, tu, res, tv, fvWalkable)
-}
-
-// loJointWalk is the joint walk over C1's threshold decomposition, with
-// C2's residuals (against the conditioned basis) updated in step with
-// the accumulated prefix rows. C1's residuals against the conditioned
-// basis depend only on the basis — never on the prefix rows the walk
-// accumulates — so they are computed up front (which is also where the
-// sheet-gathered block path joins) and the walk proper reduces them
-// only against its own rows.
-func (sb *SplitBasis) loJointWalk(fu []Form, tu uint64, res []loResid, tv uint64, fvWalkable bool) (p1u0, p110, p1u1, p111 float64) {
-	resU := sb.resLoU[:len(fu)]
-	for i := range fu {
-		m, rhs := sb.loReduce(fu[i].Mask.Lo, fu[i].Const)
-		resU[i] = loResid{mask: m, rhs: rhs}
-	}
-	return sb.loJointWalkResid(resU, tu, res, tv, fvWalkable)
-}
-
-// loJointWalkResid is loJointWalk over precomputed C1 residuals.
+// loJointWalkResid is the joint walk over C1's threshold
+// decomposition: resU holds C1's residuals against the conditioned basis
+// (they depend only on the basis, never on the prefix rows the walk
+// accumulates, so they are computed up front), and C2's residuals in
+// res are updated in step with the accumulated prefix rows. A branch's
+// terms and their order are those of ProbOneAndBothOne on the basis
+// with the split bit fixed.
 //
 //sbw:allocfree phase-step kernel: the joint walk shared by the scalar and block paths
-func (sb *SplitBasis) loJointWalkResid(resU []loResid, tu uint64, res []loResid, tv uint64, fvWalkable bool) (p1u0, p110, p1u1, p111 float64) {
+func (sb *SplitBasis) loJointWalkResid(resU []loRow, tu uint64, res []loRow, tv uint64, fvWalkable bool) (p1u0, p110, p1u1, p111 float64) {
 	bu, bv := len(resU), len(res)
 	fuRows := &sb.fuLo
 	fuRows.reset()
@@ -784,53 +266,5 @@ func (sb *SplitBasis) loJointWalkResid(resU []loResid, tu uint64, res []loResid,
 			}
 		}
 	}
-	return p1u0, p110, p1u1, p111
-}
-
-// probLessPairClone runs the dual-branch ProbLess on a pooled clone.
-func (sb *SplitBasis) probLessPairClone(forms []Form, t uint64) (float64, float64) {
-	w := sb.Clone()
-	p0, p1 := probLessPairInPlace(w, forms, t, true, true)
-	w.Release()
-	return p0, p1
-}
-
-// ProbOnePair returns Pr[C = 1] under branch 0 and branch 1.
-//
-//sbw:allocfree phase-step kernel: neighbor-marginal walk, memo-miss path
-func (sb *SplitBasis) ProbOnePair(c Coin) (p0, p1 float64) {
-	if c.t == 0 {
-		return 0, 0
-	}
-	if c.t >= uint64(1)<<c.b {
-		return 1, 1
-	}
-	if !sb.hiRows && c.lo {
-		res := sb.resLo[:c.b]
-		for i, fo := range c.forms {
-			m, rhs := sb.loReduce(fo.Mask.Lo, fo.Const)
-			res[i] = loResid{mask: m, rhs: rhs}
-		}
-		return loInnerWalk(&sb.innerLo, res, c.t, 0, 0, false, 3)
-	}
-	w := sb.Clone()
-	p0, p1 = probLessPairInPlace(w, c.forms, c.t, true, true)
-	w.Release()
-	return p0, p1
-}
-
-// EdgePairGivenMarginal is EdgePair with C2's marginal supplied by the
-// caller (typically from a memo of this pure function of the coin and
-// the conditioning): it returns only the C1 marginal and the joint
-// probabilities, skipping C2's marginal walk. pv0/pv1 must equal
-// ProbOnePair(c2) under this basis — the tu ≥ 2^b boundary reuses them.
-//
-//sbw:allocfree phase-step kernel: memo-hit variant of EdgePair
-func (sb *SplitBasis) EdgePairGivenMarginal(c1, c2 Coin, pv0, pv1 float64) (p1u0, p110, p1u1, p111 float64) {
-	if !sb.hiRows && c1.lo && c2.lo {
-		return sb.loJointPair(c1.forms, c1.t, c2.forms, c2.t, pv0, pv1)
-	}
-	// Generic fallback: recompute the marginal along the way (cold path).
-	p1u0, _, p110, p1u1, _, p111 = sb.EdgePair(c1, c2)
 	return p1u0, p110, p1u1, p111
 }
