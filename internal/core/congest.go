@@ -998,12 +998,12 @@ func (ns *nodeState) finishIteration(iter int, inMIS bool) {
 // state: coin forms come from the per-run caches (only thresholds change
 // per phase), the seed-bit basis contains nothing but fixed bits — which
 // the gf2.Basis representation folds in O(1) instead of one elimination
-// row per already-fixed bit — both β branches of an edge are evaluated
-// back-to-back against that incrementally maintained basis, and every
-// buffer (payloads, aggregation vector, basis storage) is reused, so a
-// phase allocates nothing once the caches are warm. runPhaseRef keeps
-// the pre-optimization evaluation path; the two must produce
-// bit-identical seeds, potentials, and traffic.
+// row per already-fixed bit — both β branches of a seed bit are
+// evaluated in one pass (evalPhaseBit), and every buffer (payloads,
+// aggregation vector, basis storage) is reused, so a phase allocates
+// nothing once the caches are warm. runPhaseRef keeps the
+// pre-optimization evaluation path; the two must produce bit-identical
+// seeds, potentials, and traffic.
 func (ns *nodeState) runPhase(iter, l int) {
 	deg := ns.ctx.Degree()
 	bitPos := ns.p.LogC - l

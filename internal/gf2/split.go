@@ -199,7 +199,7 @@ func loInnerWalk(st *loRows, res []loRow, t uint64, atomMask uint64, atomRhs uin
 // terms and their order are those of ProbOneAndBothOne on the basis
 // with the split bit fixed.
 //
-//sbw:allocfree phase-step kernel: the joint walk shared by the scalar and block paths
+//sbw:allocfree phase-step kernel: the joint walk of EdgePairBlock
 func (sb *SplitBasis) loJointWalkResid(resU []loRow, tu uint64, res []loRow, tv uint64, fvWalkable bool) (p1u0, p110, p1u1, p111 float64) {
 	bu, bv := len(resU), len(res)
 	fuRows := &sb.fuLo
