@@ -106,12 +106,12 @@ func TestHubBandsSweep(t *testing.T) {
 // are skewed toward low ranks the way real components are (rank si owns
 // max(1, deg−si) edges), with every slot's coins bound and sheets laid
 // out as runPhase leaves them, and a star fold schedule rooted at slot
-// 0. The band count follows the shard hook, as in a real run.
-func synthHub(t *testing.T, size, deg int) *phaseHub {
+// 0. The band count follows the shard hook, as in a real run. p is
+// the (size, deg, deg+1) parameter set unless given.
+func synthHub(t *testing.T, p *Params, size, deg int) *phaseHub {
 	t.Helper()
-	p, err := computeParamsFor(size, deg, uint32(deg+1), Options{})
-	if err != nil {
-		t.Fatal(err)
+	if p == nil {
+		p = mustParams(t, size, deg, uint32(deg+1), Options{})
 	}
 	h := newPhaseHub(size, p, 0)
 	for si := 0; si < size; si++ {
@@ -125,6 +125,15 @@ func synthHub(t *testing.T, size, deg int) *phaseHub {
 	h.order = append(h.order, 0)
 	h.built = true
 	return h
+}
+
+func mustParams(t *testing.T, n, delta int, c uint32, opts Options) *Params {
+	t.Helper()
+	p, err := computeParamsFor(n, delta, c, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 // synthNode is slot si of an n-slot synthetic component: an alive node
@@ -176,7 +185,7 @@ func TestHubBandCuts(t *testing.T) {
 	defer engine.SetForceShards(0)
 	for _, bands := range []int{2, 3, 4, 8} {
 		engine.SetForceShards(bands)
-		h := synthHub(t, 40, 30)
+		h := synthHub(t, nil, 40, 30)
 		h.cutBands()
 		if h.k != bands || h.cuts[0] != 0 || h.cuts[h.k] != h.size {
 			t.Fatalf("bands=%d: k=%d cuts=%v", bands, h.k, h.cuts)
@@ -211,7 +220,7 @@ func TestHubSegmentAllocFree(t *testing.T) {
 		t.Skip("sync.Pool drops cached objects under -race; allocation counts are meaningless")
 	}
 	engine.SetForceShards(4)
-	h := synthHub(t, 60, 24)
+	h := synthHub(t, nil, 60, 24)
 	engine.SetForceShards(0)
 	segment := func() {
 		h.resetSheets()
@@ -220,5 +229,29 @@ func TestHubSegmentAllocFree(t *testing.T) {
 	segment() // warm the pools and the sheet storage
 	if n := testing.AllocsPerRun(20, segment); n > 0 {
 		t.Fatalf("steady-state hub segment allocates %v objects per run, want 0", n)
+	}
+}
+
+// TestHubLaneArmBands runs a D > 64 segment — the lane arm, with the
+// HighAccuracy parameters of a 3,901-node star — on one band and on
+// four, and requires the same seed and root total: each band's lane
+// scratch serves only its own slots. Under -race the four bands
+// evaluate concurrently against the shared basis.
+func TestHubLaneArmBands(t *testing.T) {
+	defer engine.SetForceShards(0)
+	p := mustParams(t, 3901, 3900, 1<<29-1, Options{HighAccuracy: true})
+	var seeds [2]gf2.Vec128
+	var roots [2][2]float64
+	for i, bands := range []int{1, 4} {
+		engine.SetForceShards(bands)
+		h := synthHub(t, p, 24, 8)
+		if h.k != bands {
+			t.Fatalf("forced %d bands, hub has %d", bands, h.k)
+		}
+		seeds[i] = h.runSeedBits()
+		roots[i] = h.acc[0]
+	}
+	if seeds[0] != seeds[1] || roots[0] != roots[1] {
+		t.Fatalf("4 bands: seed %v, root %v; 1 band: seed %v, root %v", seeds[1], roots[1], seeds[0], roots[0])
 	}
 }

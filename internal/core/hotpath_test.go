@@ -104,10 +104,7 @@ func TestPhaseStepAllocFree(t *testing.T) {
 		{"block", 40, 24, 25, Options{}, false},
 		{"lanes", 3901, 3900, 1<<29 - 1, Options{HighAccuracy: true}, true},
 	} {
-		p, err := computeParamsFor(tc.n, tc.delta, tc.c, tc.opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := mustParams(t, tc.n, tc.delta, tc.c, tc.opts)
 		if (p.D > 64) != tc.lanes {
 			t.Fatalf("%s: seed length D = %d selects the wrong arm", tc.name, p.D)
 		}
