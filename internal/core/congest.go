@@ -1211,7 +1211,7 @@ func splitBit(basis *gf2.Basis, d, j int) *gf2.SplitBasis {
 //     per edge.
 //   - D > 64, the lane arm: the seed is past the sheets' and the memo
 //     key's single word, so bit j is scored as a one-bit lane segment —
-//     lane β is bit j = β — with lanes's lane basis, edge by edge.
+//     lane β is bit j = β — on the lane basis in lanes, edge by edge.
 func (ns *nodeState) evalPhaseBit(j int, basis *gf2.Basis, sb *gf2.SplitBasis, lanes *phaseLanes, prefix uint64) (x0, x1 float64) {
 	k1, k0 := ns.phK1, ns.phK0
 	myCoin := ns.phMyCoin
